@@ -6,96 +6,34 @@ vertex-deleted principal submatrices; eigenvalues and eigenvectors of a
 rank-one update A + t*x*x^T come from the roots of a secular function with
 guaranteed interlacing brackets; and both combine into checkable statements
 about matrices sharing a spectral deck.
+
+The package re-exports the quick-start entry points; everything else lives in
+the submodules ``core``, ``secular``, ``squares`` and ``verify``.
 """
 
 from .core import (
     ConvergenceError,
-    EigenBasis,
     MatrixFormatError,
-    SpectralDeck,
-    Spectrum,
     SymmetricMatrix,
-    char_poly_derivative_eval,
-    char_poly_eval,
-    cluster_spectrum,
     deck,
-    default_cluster_tol,
     eigh,
-    format_matrix,
-    format_vector,
     parse_matrix,
-    parse_vector,
 )
-from .secular import (
-    BracketError,
-    SecularSystem,
-    UpdateResult,
-    build_secular,
-    rank1_update,
-    secular_eval,
-    secular_roots,
-    verify_det_identity,
-)
-from .squares import (
-    NotSimpleError,
-    SquareTable,
-    compare_squares,
-    reconstruct_square,
-    square_table,
-    square_table_from_basis,
-    square_table_from_deck,
-)
-from .verify import (
-    PairReport,
-    PermutationProbe,
-    canonicalize_sign_along_ones,
-    principal_angle,
-    probe_permutation_conjecture,
-    projection_of_ones,
-    verify_gm,
-    verify_theorem_main,
-)
+from .secular import BracketError, rank1_update
+from .squares import square_table
+from .verify import verify_gm
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BracketError",
     "ConvergenceError",
-    "EigenBasis",
     "MatrixFormatError",
-    "NotSimpleError",
-    "PairReport",
-    "PermutationProbe",
-    "SecularSystem",
-    "SpectralDeck",
-    "Spectrum",
-    "SquareTable",
     "SymmetricMatrix",
-    "UpdateResult",
-    "build_secular",
-    "canonicalize_sign_along_ones",
-    "char_poly_derivative_eval",
-    "char_poly_eval",
-    "cluster_spectrum",
-    "compare_squares",
     "deck",
-    "default_cluster_tol",
     "eigh",
-    "format_matrix",
-    "format_vector",
     "parse_matrix",
-    "parse_vector",
-    "principal_angle",
-    "probe_permutation_conjecture",
-    "projection_of_ones",
     "rank1_update",
-    "reconstruct_square",
-    "secular_eval",
-    "secular_roots",
     "square_table",
-    "square_table_from_basis",
-    "square_table_from_deck",
-    "verify_det_identity",
     "verify_gm",
-    "verify_theorem_main",
 ]

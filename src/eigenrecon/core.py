@@ -43,7 +43,10 @@ class SymmetricMatrix:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] < 1:
             raise ValueError("dimension must be at least 1")
-        scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
+        peak = float(np.max(np.abs(m)))  # NaN or inf exactly when an entry is
+        if not np.isfinite(peak):
+            raise ValueError("matrix entries must be finite")
+        scale = max(1.0, peak)
         asym = float(np.max(np.abs(m - m.T)))
         if asym > sym_tol * scale:
             raise ValueError(
@@ -53,11 +56,6 @@ class SymmetricMatrix:
         sym = (m + m.T) / 2.0
         sym.setflags(write=False)
         return cls(sym)
-
-    @classmethod
-    def ones_outer(cls, n: int) -> "SymmetricMatrix":
-        """The rank-one matrix J = 1 1^T."""
-        return cls.from_array(np.ones((n, n)))
 
     def delete(self, i: int) -> "SymmetricMatrix":
         """Principal submatrix with row and column i removed (0-based)."""
@@ -143,15 +141,15 @@ class EigenBasis:
         return len(self.spectrum)
 
 
-def _canonical_column_signs(vectors: np.ndarray) -> np.ndarray:
-    # Largest-|entry| component positive, ties broken by lowest row index.
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0:
-            out[:, k] = -col
-    return out
+def canonical_column_signs(vectors: np.ndarray) -> np.ndarray:
+    """Flip columns so each largest-|entry| component is positive.
+
+    Ties go to the lowest row index. The result is a C-contiguous copy
+    whatever the input layout, so downstream BLAS calls round the same way.
+    """
+    cols = np.arange(vectors.shape[1])
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), cols]
+    return np.ascontiguousarray(np.where(lead < 0, -vectors, vectors))
 
 
 def eigh(A: SymmetricMatrix, cluster_tol: float | None = None) -> EigenBasis:
@@ -210,7 +208,7 @@ def eigh(A: SymmetricMatrix, cluster_tol: float | None = None) -> EigenBasis:
     diag = np.diag(a).copy()
     order = np.argsort(-diag, kind="stable")
     values = diag[order]
-    vectors = _canonical_column_signs(p[:, order])
+    vectors = canonical_column_signs(p[:, order])
     vectors.setflags(write=False)
     return EigenBasis(cluster_spectrum(values, cluster_tol), vectors)
 
@@ -317,7 +315,10 @@ def parse_vector(text: str) -> np.ndarray:
         raise MatrixFormatError(f"dimension must be positive, got {n}")
     if len(toks) - 1 != n:
         raise MatrixFormatError(f"expected {n} entries, got {len(toks) - 1}")
-    return _parse_reals(toks[1:])
+    x = _parse_reals(toks[1:])
+    if not np.all(np.isfinite(x)):
+        raise MatrixFormatError("vector entries must be finite")
+    return x
 
 
 def format_matrix(A: SymmetricMatrix) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EigenBasis, Spectrum, cluster_spectrum
+from .core import EigenBasis, Spectrum, canonical_column_signs, cluster_spectrum
 
 DEFLATE_TOL = 1e-12
 POLE_OFFSET_SCALE = 1e-13
@@ -95,13 +95,13 @@ def secular_eval(sys: SecularSystem, lam: float) -> float:
     return float(1.0 + np.sum(sys.t * sys.active_weights / (poles - lam)))
 
 
-def _bisect(sys: SecularSystem, lo: float, hi: float, f_lo: float) -> float:
-    # f_lo carries the sign at lo; P_t is monotone on (lo, hi).
+def _bisect(f, lo: float, hi: float, f_lo: float) -> float:
+    # f_lo carries the sign of f at lo; f is monotone on (lo, hi).
     for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if hi - lo <= ROOT_WIDTH_TOL * max(1.0, abs(mid)) or mid in (lo, hi):
             return mid
-        f_mid = secular_eval(sys, mid)
+        f_mid = f(mid)
         if f_mid == 0.0:
             return mid
         if (f_mid > 0.0) == (f_lo > 0.0):
@@ -111,94 +111,84 @@ def _bisect(sys: SecularSystem, lo: float, hi: float, f_lo: float) -> float:
     raise BracketError("bisection failed to converge within iteration cap")
 
 
-def _open_at_pole(sys: SecularSystem, pole: float, side: int,
+def _open_at_pole(f, pole: float, side: int,
                   limit: float) -> tuple[float, float]:
-    # Step off the pole toward `limit` until the evaluated sign matches the
-    # divergence sign at the pole; the first offset almost always suffices.
+    # f has a negative scale, so it diverges to +inf above each pole and to
+    # -inf below it. Step off the pole toward `limit` until the evaluated
+    # sign matches; the first offset almost always suffices.
     off = POLE_OFFSET_SCALE * max(1.0, abs(pole))
-    want_positive = (side > 0) == (sys.t < 0.0)
     for _ in range(80):
         point = pole + side * off
         if (side > 0 and point >= limit) or (side < 0 and point <= limit):
             break
-        f = secular_eval(sys, point)
-        if f == 0.0 or (f > 0.0) == want_positive:
-            return point, f
+        value = f(point)
+        if value == 0.0 or (value > 0.0) == (side > 0):
+            return point, value
         off *= 0.5
-    raise BracketError(f"could not open a bracket at pole {pole}")
+    raise BracketError(f"could not open a bracket at pole y = {pole}")
 
 
 def secular_roots(sys: SecularSystem) -> np.ndarray:
     """All roots of P_t over the active poles, sorted descending.
 
     For t < 0 the roots sit strictly below their poles (one per gap plus one
-    below the lowest active pole); for t > 0 strictly above. Each root is
-    found by bisection on a sign-change bracket, so monotonicity of P_t on
-    the bracket guarantees uniqueness.
+    below the lowest active pole); for t > 0 strictly above. Both cases run
+    one loop in the coordinate y = s*lambda with s = sign(-t): there P_t has
+    poles s*lambda_k and a negative scale, so every root lies below its pole.
+    Each root is found by bisection on a sign-change bracket, so monotonicity
+    of P_t on the bracket guarantees uniqueness. Negation is exact in IEEE
+    arithmetic, so the t > 0 brackets, midpoints and evaluations are the
+    exact mirror images of a direct search above the poles. BracketError
+    messages name poles and roots (counted descending) in y.
     """
     if sys.t == 0.0:
         raise ValueError("t = 0 has no secular roots")
     if not sys.active:
         raise ValueError("active set is empty, nothing to solve")
-    poles = sys.active_poles  # descending
-    weights = sys.active_weights
-    spread = sys.lambdas.spread
-    cap = abs(sys.t) * float(np.sum(weights)) + spread
+    s = 1.0 if sys.t < 0.0 else -1.0
+    poles = np.sort(s * sys.active_poles)[::-1]  # descending in y
 
+    def f(y: float) -> float:
+        return secular_eval(sys, s * y)
+
+    cap = abs(sys.t) * float(np.sum(sys.active_weights)) + sys.lambdas.spread
     roots = []
-    if sys.t < 0.0:
-        # One root in each (pole_{j+1}, pole_j), one in (-inf, pole_last).
-        for j in range(len(poles)):
-            hi, f_hi = _open_at_pole(
-                sys, poles[j], -1,
-                poles[j + 1] if j + 1 < len(poles) else -np.inf,
-            )
-            if j + 1 < len(poles):
-                lo, f_lo = _open_at_pole(sys, poles[j + 1], +1, poles[j])
-            else:
-                lo = poles[-1] - cap
-                f_lo = secular_eval(sys, lo)
-                for _ in range(80):
-                    if f_lo > 0.0:
-                        break
-                    lo -= max(cap, 1.0)
-                    f_lo = secular_eval(sys, lo)
-            if f_lo == 0.0:
-                roots.append(lo)
-                continue
-            if f_hi == 0.0:
-                roots.append(hi)
-                continue
-            if (f_lo > 0.0) == (f_hi > 0.0):
-                raise BracketError(f"no sign change on bracket for root {j}")
-            roots.append(_bisect(sys, lo, hi, f_lo))
-    else:
-        # Mirrored: one root in (pole_1, +inf), one in each (pole_j, pole_{j-1}).
-        for j in range(len(poles)):
-            lo, f_lo = _open_at_pole(
-                sys, poles[j], +1,
-                poles[j - 1] if j > 0 else np.inf,
-            )
-            if j > 0:
-                hi, f_hi = _open_at_pole(sys, poles[j - 1], -1, poles[j])
-            else:
-                hi = poles[0] + cap
-                f_hi = secular_eval(sys, hi)
-                for _ in range(80):
-                    if f_hi > 0.0:
-                        break
-                    hi += max(cap, 1.0)
-                    f_hi = secular_eval(sys, hi)
-            if f_lo == 0.0:
-                roots.append(lo)
-                continue
-            if f_hi == 0.0:
-                roots.append(hi)
-                continue
-            if (f_lo > 0.0) == (f_hi > 0.0):
-                raise BracketError(f"no sign change on bracket for root {j}")
-            roots.append(_bisect(sys, lo, hi, f_lo))
-    return np.array(roots)
+    # One root in each (pole_{j+1}, pole_j), one in (-inf, pole_last).
+    for j in range(len(poles)):
+        hi, f_hi = _open_at_pole(
+            f, poles[j], -1, poles[j + 1] if j + 1 < len(poles) else -np.inf,
+        )
+        if j + 1 < len(poles):
+            lo, f_lo = _open_at_pole(f, poles[j + 1], +1, poles[j])
+        else:
+            lo = poles[-1] - cap
+            f_lo = f(lo)
+            for _ in range(80):
+                if f_lo > 0.0:
+                    break
+                lo -= max(cap, 1.0)
+                f_lo = f(lo)
+        if f_lo == 0.0:
+            roots.append(lo)
+            continue
+        if f_hi == 0.0:
+            roots.append(hi)
+            continue
+        if (f_lo > 0.0) == (f_hi > 0.0):
+            raise BracketError(f"no sign change on bracket for root {j} in y")
+        roots.append(_bisect(f, lo, hi, f_lo))
+    if s < 0.0:
+        roots.reverse()
+    return s * np.array(roots)
+
+
+@dataclass(frozen=True)
+class UpdateWarning:
+    """A structured warning: what (``code``), which root, and its value."""
+
+    code: str
+    index: int
+    value: float
 
 
 @dataclass(frozen=True)
@@ -208,22 +198,18 @@ class UpdateResult:
     ``origins[k]`` is ("retained", original index) or ("root", bracket
     index); ``vectors[k]`` is the unit eigenvector for root-tagged values
     and None for retained ones (their eigenspaces pass through unchanged).
+    ``warnings`` holds one "near_degenerate" record per flagged root.
     """
 
     eigenvalues: Spectrum
     origins: tuple[tuple[str, int], ...]
     vectors: tuple[np.ndarray | None, ...]
-    warnings: tuple[str, ...]
+    warnings: tuple[UpdateWarning, ...]
     system: SecularSystem
 
     @property
     def values(self) -> np.ndarray:
         return self.eigenvalues.values
-
-
-def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    lead = int(np.argmax(np.abs(v)))
-    return -v if v[lead] < 0 else v
 
 
 def rank1_update(basis: EigenBasis, x, t: float,
@@ -249,7 +235,7 @@ def rank1_update(basis: EigenBasis, x, t: float,
             entries.append((float(spec.values[i]), ("retained", i), None))
             retained_values.append(float(spec.values[i]))
 
-    warnings: list[str] = []
+    warnings: list[UpdateWarning] = []
     if sys.active:
         roots = secular_roots(sys)
         active_indices = [i for k in sys.active for i in spec.clusters[k]]
@@ -259,15 +245,13 @@ def rank1_update(basis: EigenBasis, x, t: float,
         q_active = sys.q[active_indices]
         p_active = basis.vectors[:, active_indices]
         near_tol = NEAR_DEGENERATE_TOL * max(spec.spread, 1.0)
+        vs = [p_active @ (q_active / (pole_of - mu)) for mu in roots]
+        vectors = canonical_column_signs(
+            np.column_stack([v / np.linalg.norm(v) for v in vs]))
         for j, mu in enumerate(roots):
-            v = p_active @ (q_active / (pole_of - mu))
-            v = _canonical_sign(v / np.linalg.norm(v))
             if retained_values and min(abs(mu - r) for r in retained_values) < near_tol:
-                warnings.append(
-                    f"root {j} at {mu:.12g} is near-degenerate with a "
-                    "retained eigenvalue"
-                )
-            entries.append((float(mu), ("root", j), v))
+                warnings.append(UpdateWarning("near_degenerate", j, float(mu)))
+            entries.append((float(mu), ("root", j), vectors[:, j].copy()))
 
     entries.sort(key=lambda e: -e[0])
     values = np.array([e[0] for e in entries])

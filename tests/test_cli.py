@@ -142,3 +142,22 @@ def test_emitted_matrix_roundtrips():
     A = core.SymmetricMatrix.from_array((m + m.T) / 2)
     B = core.parse_matrix(core.format_matrix(A))
     assert np.array_equal(A.entries, B.entries)
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+def test_non_finite_matrix_exits_2(matrix_file, capsys, entry):
+    a = matrix_file("a.txt", f"2\n0 {entry}\n{entry} 0\n")
+    code = cli.main(["eig", a])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_non_finite_vector_exits_2(matrix_file, capsys):
+    x = matrix_file("x.txt", "3\n1 inf 0\n")
+    code = cli.main(["rank1", matrix_file("a.txt", P3), "--x", x, "--t", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "finite" in captured.err

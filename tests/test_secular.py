@@ -132,6 +132,22 @@ class TestSecularRoots:
                 else:
                     assert np.all(diffs < 0)
 
+    @pytest.mark.parametrize("t", [-3.0, -0.3, 0.3, 3.0])
+    def test_reflection_is_exact(self, t):
+        # The spectrum is symmetric about 0 and x is palindromic in the
+        # eigenbasis, so -A has the same poles and weights in the same order
+        # and P_t evaluates term for term. Solving t > 0 by reflection then
+        # gives roots that are exact negations of the t < 0 ones.
+        vals = np.array([2.5, 1.25, 0.5, -0.5, -1.25, -2.5])
+        x = np.array([0.3, -0.8, 0.55, 0.55, -0.8, 0.3])
+        A = core.SymmetricMatrix.from_array(np.diag(vals))
+        neg = core.SymmetricMatrix.from_array(np.diag(-vals))
+        roots = secular.secular_roots(secular.build_secular(core.eigh(A), x, t))
+        mirrored = secular.secular_roots(
+            secular.build_secular(core.eigh(neg), x, -t))
+        np.testing.assert_array_equal(mirrored, -roots[::-1])
+        assert np.all(np.diff(roots) < 0)
+
     def test_t_zero_has_no_roots(self):
         sys = secular.build_secular(swap_basis(), np.ones(2), 0.0)
         with pytest.raises(ValueError):
@@ -194,6 +210,14 @@ class TestRank1Update:
         assert kinds.count("retained") == 1  # one copy of the double 2 survives
         assert kinds.count("root") == 2
         assert 2.0 in [v for v, (k, _) in zip(r.values, r.origins) if k == "retained"]
+
+    def test_near_degenerate_warning_record(self):
+        # A tiny weight on the double eigenvalue 1 moves its root by ~1e-14,
+        # next to the copy of 1 that stays retained.
+        basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([2.0, 1.0, 1.0])))
+        r = secular.rank1_update(basis, np.array([0.0, 1e-7, 0.0]), -1.0)
+        assert r.warnings == (secular.UpdateWarning("near_degenerate", 0, r.values[2]),)
+        assert r.origins[2] == ("root", 0)
 
     def test_t_zero_identity(self):
         basis = swap_basis()

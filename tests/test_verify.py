@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -202,10 +203,52 @@ class TestProbePermutation:
         assert not probe.found
         assert probe.min_distance > 1e-8
 
-    def test_cap_enforced(self):
-        A = random_symmetric(np.random.default_rng(22), 9)
-        with pytest.raises(ValueError, match="cap"):
-            verify.probe_permutation_conjecture(A, A, 0)
+    def test_relabelled_pair_beyond_brute_force(self):
+        # 12! permutations: only sorted pairing makes this size practical.
+        rng = np.random.default_rng(22)
+        m = random_symmetric(rng, 12)
+        perm = rng.permutation(12)
+        B = core.SymmetricMatrix.from_array(m.entries[np.ix_(perm, perm)])
+        probe = verify.probe_permutation_conjecture(m, B, 3)
+        assert probe.found
+        assert probe.permutation == tuple(int(k) for k in perm)
+
+    def test_agrees_with_brute_force(self):
+        rng = np.random.default_rng(23)
+        checked = 0
+        for trial in range(60):
+            n = int(rng.integers(2, 7))
+            if trial % 3 == 0:  # 0/1 graphs: eigenvectors with tied entries
+                a = np.triu(rng.integers(0, 2, (n, n)).astype(float), 1)
+                A = core.SymmetricMatrix.from_array(a + a.T)
+            else:
+                A = random_symmetric(rng, n)
+            if trial % 2:
+                perm = rng.permutation(n)
+                B = core.SymmetricMatrix.from_array(A.entries[np.ix_(perm, perm)])
+            else:
+                B = random_symmetric(rng, n)
+            basis_a, basis_b = core.eigh(A), core.eigh(B)
+            for i in range(n):
+                if not (basis_a.spectrum.is_simple(i)
+                        and basis_b.spectrum.is_simple(i)):
+                    continue
+                p, u = basis_a.vectors[:, i], basis_b.vectors[:, i]
+                best = {
+                    sign: min(float(np.linalg.norm(p[list(tau)] - sign * u))
+                              for tau in itertools.permutations(range(n)))
+                    for sign in (+1, -1)
+                }
+                sign = min(best, key=lambda s: (best[s], -s))
+                probe = verify.probe_permutation_conjecture(A, B, i)
+                assert probe.found == (best[sign] <= 1e-8)
+                assert probe.min_distance == best[sign]
+                if probe.found:
+                    assert probe.sign == sign
+                    tp = p[list(probe.permutation)]
+                    assert np.linalg.norm(tp - sign * u) == best[sign]
+                checked += 1
+        assert checked >= 100
 
     def test_non_simple_rejected(self):
         A = core.SymmetricMatrix.from_array(np.diag([2.0, 2.0, 1.0]))
