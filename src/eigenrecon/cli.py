@@ -88,7 +88,8 @@ def cmd_squares(args) -> int:
         [[f"m={m}"] + ["-" if v is None else f"{v:.12g}" for v in row]
          for m, row in enumerate(p["table"])]))
     for w in table.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+        print(f"warning: {w.code} in column {w.index}: {w.value:.12g}",
+              file=sys.stderr)
     return EXIT_FAIL if table.warnings else EXIT_PASS
 
 
@@ -194,7 +195,7 @@ def cmd_probe_tau(args) -> int:
         args.index, tol=args.tol)
     payload = probe.to_dict()
     _emit(payload, args.format, lambda p:
-          (f"found tau={p['permutation']} sign={p['sign']:+d} "
+          (f"found tau={list(p['permutation'])} sign={p['sign']:+d} "
            f"distance={p['distance']:.3e}") if p["found"] else
           f"exhausted, min distance {p['min_distance']:.3e}")
     return EXIT_PASS if probe.found else EXIT_FAIL

@@ -9,7 +9,7 @@ the n vertex-deleted principal submatrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,15 @@ class MatrixFormatError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """Raised when the Jacobi sweep cap is exhausted."""
+
+
+@dataclass(frozen=True)
+class Diagnostic:
+    """A structured warning: what (``code``), where (``index``), and a value."""
+
+    code: str
+    index: int
+    value: float
 
 
 @dataclass(frozen=True)
@@ -116,8 +125,8 @@ def cluster_spectrum(values, cluster_tol: float | None = None) -> Spectrum:
         raise ValueError("eigenvalues must be sorted descending")
     if cluster_tol is None:
         cluster_tol = default_cluster_tol(vals)
-    if cluster_tol < 0:
-        raise ValueError("cluster_tol must be nonnegative")
+    if not cluster_tol >= 0:  # also rejects NaN
+        raise ValueError(f"cluster_tol must be nonnegative, got {cluster_tol}")
     clusters: list[tuple[int, ...]] = []
     start = 0
     for k in range(1, len(vals)):
@@ -215,9 +224,14 @@ def eigh(A: SymmetricMatrix, cluster_tol: float | None = None) -> EigenBasis:
 
 @dataclass(frozen=True)
 class SpectralDeck:
-    """Spectra of the n vertex-deleted principal submatrices A_1..A_n."""
+    """Spectra of the n vertex-deleted principal submatrices A_1..A_n.
+
+    ``parent`` is the decomposition of A itself that the cards were checked
+    against, kept so callers need not decompose A again.
+    """
 
     card_spectra: tuple[Spectrum, ...]
+    parent: EigenBasis
 
     def __len__(self) -> int:
         return len(self.card_spectra)
@@ -241,14 +255,14 @@ def deck(A: SymmetricMatrix, cluster_tol: float | None = None) -> SpectralDeck:
     """
     if A.n < 2:
         raise ValueError("deck requires n >= 2")
-    parent = eigh(A, cluster_tol).spectrum
+    parent = eigh(A, cluster_tol)
     cards = []
     for m in range(A.n):
         card = eigh(A.delete(m), cluster_tol).spectrum
-        if not check_interlacing(parent, card):
+        if not check_interlacing(parent.spectrum, card):
             raise ConvergenceError(f"deck card {m} violates Cauchy interlacing")
         cards.append(card)
-    return SpectralDeck(tuple(cards))
+    return SpectralDeck(tuple(cards), parent)
 
 
 def char_poly_eval(spec: Spectrum, lam: float) -> float:
@@ -270,9 +284,19 @@ def char_poly_derivative_eval(spec: Spectrum, lam: float) -> float:
 # whitespace-separated. Vectors use the same layout with n reals.
 
 
-def _tokens(text: str) -> list[str]:
+def _header(text: str) -> tuple[int, list[str]]:
+    """The dimension n and the entry tokens after it, comments dropped."""
     lines = [ln for ln in text.splitlines() if not ln.lstrip().startswith("#")]
-    return " ".join(lines).split()
+    toks = " ".join(lines).split()
+    if not toks:
+        raise MatrixFormatError("empty input")
+    try:
+        n = int(toks[0])
+    except ValueError:
+        raise MatrixFormatError(f"expected dimension, got {toks[0]!r}") from None
+    if n < 1:
+        raise MatrixFormatError(f"dimension must be positive, got {n}")
+    return n, toks[1:]
 
 
 def _parse_reals(tokens: list[str]) -> np.ndarray:
@@ -283,20 +307,10 @@ def _parse_reals(tokens: list[str]) -> np.ndarray:
 
 
 def parse_matrix(text: str, sym_tol: float = SYM_TOL) -> SymmetricMatrix:
-    toks = _tokens(text)
-    if not toks:
-        raise MatrixFormatError("empty input")
-    try:
-        n = int(toks[0])
-    except ValueError:
-        raise MatrixFormatError(f"expected dimension, got {toks[0]!r}") from None
-    if n < 1:
-        raise MatrixFormatError(f"dimension must be positive, got {n}")
-    if len(toks) - 1 != n * n:
-        raise MatrixFormatError(
-            f"expected {n * n} entries for n={n}, got {len(toks) - 1}"
-        )
-    entries = _parse_reals(toks[1:]).reshape(n, n)
+    n, toks = _header(text)
+    if len(toks) != n * n:
+        raise MatrixFormatError(f"expected {n * n} entries for n={n}, got {len(toks)}")
+    entries = _parse_reals(toks).reshape(n, n)
     try:
         return SymmetricMatrix.from_array(entries, sym_tol=sym_tol)
     except ValueError as exc:
@@ -304,18 +318,10 @@ def parse_matrix(text: str, sym_tol: float = SYM_TOL) -> SymmetricMatrix:
 
 
 def parse_vector(text: str) -> np.ndarray:
-    toks = _tokens(text)
-    if not toks:
-        raise MatrixFormatError("empty input")
-    try:
-        n = int(toks[0])
-    except ValueError:
-        raise MatrixFormatError(f"expected dimension, got {toks[0]!r}") from None
-    if n < 1:
-        raise MatrixFormatError(f"dimension must be positive, got {n}")
-    if len(toks) - 1 != n:
-        raise MatrixFormatError(f"expected {n} entries, got {len(toks) - 1}")
-    x = _parse_reals(toks[1:])
+    n, toks = _header(text)
+    if len(toks) != n:
+        raise MatrixFormatError(f"expected {n} entries, got {len(toks)}")
+    x = _parse_reals(toks)
     if not np.all(np.isfinite(x)):
         raise MatrixFormatError("vector entries must be finite")
     return x

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EigenBasis, Spectrum, canonical_column_signs, cluster_spectrum
+from .core import (Diagnostic, EigenBasis, Spectrum, canonical_column_signs,
+                   cluster_spectrum)
 
 DEFLATE_TOL = 1e-12
 POLE_OFFSET_SCALE = 1e-13
@@ -36,7 +37,8 @@ class SecularSystem:
 
     ``poles`` holds one representative eigenvalue per cluster (descending);
     ``weights`` the aggregated q_i^2 per cluster; ``active`` the cluster
-    indices whose weight survives deflation.
+    indices whose weight survives deflation, and ``active_poles`` and
+    ``active_weights`` the poles and weights at those indices.
     """
 
     lambdas: Spectrum
@@ -45,15 +47,8 @@ class SecularSystem:
     poles: np.ndarray
     weights: np.ndarray
     active: tuple[int, ...]
-    deflate_tol: float
-
-    @property
-    def active_poles(self) -> np.ndarray:
-        return self.poles[list(self.active)]
-
-    @property
-    def active_weights(self) -> np.ndarray:
-        return self.weights[list(self.active)]
+    active_poles: np.ndarray
+    active_weights: np.ndarray
 
     @property
     def n_roots(self) -> int:
@@ -66,8 +61,10 @@ def build_secular(basis: EigenBasis, x, t: float,
 
     A cluster enters the active set when its aggregated weight exceeds
     deflate_tol * ||x||^2; with t = 0 the active set is empty and the
-    update is a no-op.
+    update is a no-op. A non-finite t raises ValueError.
     """
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     x = np.asarray(x, dtype=float)
     if x.shape != (basis.n,):
         raise ValueError(f"x has shape {x.shape}, expected ({basis.n},)")
@@ -82,9 +79,12 @@ def build_secular(basis: EigenBasis, x, t: float,
         active = tuple(
             k for k in range(len(weights)) if weights[k] > deflate_tol * xsq
         )
-    poles.setflags(write=False)
-    weights.setflags(write=False)
-    return SecularSystem(spec, q, float(t), poles, weights, active, deflate_tol)
+    active_poles = poles[list(active)]
+    active_weights = weights[list(active)]
+    for arr in (poles, weights, active_poles, active_weights):
+        arr.setflags(write=False)
+    return SecularSystem(spec, q, float(t), poles, weights, active,
+                         active_poles, active_weights)
 
 
 def secular_eval(sys: SecularSystem, lam: float) -> float:
@@ -183,15 +183,6 @@ def secular_roots(sys: SecularSystem) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class UpdateWarning:
-    """A structured warning: what (``code``), which root, and its value."""
-
-    code: str
-    index: int
-    value: float
-
-
-@dataclass(frozen=True)
 class UpdateResult:
     """Eigenvalues of A + t*x*x^T with per-value origin tags.
 
@@ -204,7 +195,7 @@ class UpdateResult:
     eigenvalues: Spectrum
     origins: tuple[tuple[str, int], ...]
     vectors: tuple[np.ndarray | None, ...]
-    warnings: tuple[UpdateWarning, ...]
+    warnings: tuple[Diagnostic, ...]
     system: SecularSystem
 
     @property
@@ -235,7 +226,7 @@ def rank1_update(basis: EigenBasis, x, t: float,
             entries.append((float(spec.values[i]), ("retained", i), None))
             retained_values.append(float(spec.values[i]))
 
-    warnings: list[UpdateWarning] = []
+    warnings: list[Diagnostic] = []
     if sys.active:
         roots = secular_roots(sys)
         active_indices = [i for k in sys.active for i in spec.clusters[k]]
@@ -250,7 +241,7 @@ def rank1_update(basis: EigenBasis, x, t: float,
             np.column_stack([v / np.linalg.norm(v) for v in vs]))
         for j, mu in enumerate(roots):
             if retained_values and min(abs(mu - r) for r in retained_values) < near_tol:
-                warnings.append(UpdateWarning("near_degenerate", j, float(mu)))
+                warnings.append(Diagnostic("near_degenerate", j, float(mu)))
             entries.append((float(mu), ("root", j), vectors[:, j].copy()))
 
     entries.sort(key=lambda e: -e[0])

@@ -13,11 +13,11 @@ coefficients.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import EigenBasis, SpectralDeck, Spectrum, SymmetricMatrix, deck, eigh
+from .core import Diagnostic, EigenBasis, SpectralDeck, Spectrum, SymmetricMatrix, deck
 
 CLAMP_TOL = 1e-10
 ROW_SUM_TOL = 1e-8
@@ -58,13 +58,15 @@ class SquareTable:
 
     ``provenance`` is "deck" when built from vertex-deleted spectra and
     "eigenbasis" when filled directly from squared eigenvector entries.
+    ``warnings`` holds "negative_square" and "column_sum" records whose
+    ``index`` is the eigenvalue column.
     """
 
     n: int
     table: np.ndarray
     simple: tuple[int, ...]
     provenance: str
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[Diagnostic, ...] = ()
 
     def cell(self, m: int, i: int) -> float | None:
         v = self.table[m, i]
@@ -74,7 +76,8 @@ class SquareTable:
         rows = [[None if np.isnan(v) else v for v in row] for row in self.table]
         return json.dumps(
             {"n": self.n, "simple": list(self.simple), "table": rows,
-             "provenance": self.provenance, "warnings": list(self.warnings)}
+             "provenance": self.provenance,
+             "warnings": [asdict(w) for w in self.warnings]}
         )
 
 
@@ -82,8 +85,10 @@ def square_table_from_deck(spec: Spectrum, cards: SpectralDeck) -> SquareTable:
     """Apply reconstruct_square over every vertex m and simple index i.
 
     Column sums over m are checked against 1 (the eigenvector is a unit
-    vector); violations beyond 1e-8 are recorded as warnings, not raised,
-    since they indicate inconsistent input spectra rather than a bug here.
+    vector). A negative cell and a column sum off by more than 1e-8 are
+    recorded as ("negative_square", i, value) and ("column_sum", i, sum)
+    warnings, not raised, since they indicate inconsistent input spectra
+    rather than a bug here.
     """
     n = len(spec)
     if len(cards) != n:
@@ -95,16 +100,11 @@ def square_table_from_deck(spec: Spectrum, cards: SpectralDeck) -> SquareTable:
         for m in range(n):
             v = reconstruct_square(spec, cards.card_spectra[m], i)
             if v < 0.0:
-                warnings.append(
-                    f"cell ({m},{i}) reconstructed negative: {v:.3e}"
-                )
+                warnings.append(Diagnostic("negative_square", i, v))
             table[m, i] = v
         colsum = float(np.nansum(table[:, i]))
         if abs(colsum - 1.0) > ROW_SUM_TOL:
-            warnings.append(
-                f"column {i} sums to {colsum:.12g}, deviates from 1 "
-                f"by more than {ROW_SUM_TOL:.1e}"
-            )
+            warnings.append(Diagnostic("column_sum", i, colsum))
     table.setflags(write=False)
     return SquareTable(n, table, simple, "deck", tuple(warnings))
 
@@ -122,8 +122,8 @@ def square_table_from_basis(basis: EigenBasis) -> SquareTable:
 
 def square_table(A: SymmetricMatrix, cluster_tol: float | None = None) -> SquareTable:
     """Convenience: deck-route square table straight from a matrix."""
-    spec = eigh(A, cluster_tol).spectrum
-    return square_table_from_deck(spec, deck(A, cluster_tol))
+    cards = deck(A, cluster_tol)
+    return square_table_from_deck(cards.parent.spectrum, cards)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ other by sorted pairing, at any size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -98,16 +98,7 @@ class TheoremMainSample:
             self.lambda_n_dev <= tol and self.angle <= ANGLE_TOL)
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "lambda_n_dev": self.lambda_n_dev,
-            "simple_in_a": self.simple_in_a,
-            "simple_in_b": self.simple_in_b,
-            "angle": self.angle,
-            "secular_value_dev": self.secular_value_dev,
-            "secular_angle": self.secular_angle,
-            "conclusive": self.conclusive,
-        }
+        return {**asdict(self), "conclusive": self.conclusive}
 
 
 def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix,
@@ -121,13 +112,16 @@ def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix,
         raise ValueError("dimension mismatch")
     if not len(t_samples):
         raise ValueError("t_samples must be nonempty")
+    if not np.all(np.isfinite(t_samples)):
+        raise ValueError("t_samples must be finite")
     n = A.n
     ones = np.ones(n)
+    J = np.outer(ones, ones)
     basis_a = eigh(A)
     records = []
     for t in t_samples:
-        shifted_a = eigh(SymmetricMatrix.from_array(A.entries + t * np.outer(ones, ones)))
-        shifted_b = eigh(SymmetricMatrix.from_array(B.entries + t * np.outer(ones, ones)))
+        shifted_a = eigh(SymmetricMatrix.from_array(A.entries + t * J))
+        shifted_b = eigh(SymmetricMatrix.from_array(B.entries + t * J))
         low_a = float(shifted_a.spectrum.values[-1])
         low_b = float(shifted_b.spectrum.values[-1])
         va = shifted_a.vectors[:, -1]
@@ -212,13 +206,12 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, tol: float = 1e-8,
     """
     if A.n != B.n:
         raise ValueError("dimension mismatch")
-    basis_a = eigh(A)
-    basis_b = eigh(B)
-    spectra_dev = float(np.max(np.abs(
-        basis_a.spectrum.values - basis_b.spectrum.values)))
-
     deck_a = deck(A)
     deck_b = deck(B)
+    basis_a = deck_a.parent
+    basis_b = deck_b.parent
+    spectra_dev = float(np.max(np.abs(
+        basis_a.spectrum.values - basis_b.spectrum.values)))
     deck_devs = tuple(
         float(np.max(np.abs(ca.values - cb.values)))
         for ca, cb in zip(deck_a.card_spectra, deck_b.card_spectra)
@@ -284,14 +277,7 @@ class PermutationProbe:
     min_distance: float
 
     def to_dict(self) -> dict:
-        return {
-            "found": self.found,
-            "permutation": None if self.permutation is None
-            else list(self.permutation),
-            "sign": self.sign,
-            "distance": self.distance,
-            "min_distance": self.min_distance,
-        }
+        return asdict(self)
 
 
 def probe_permutation_conjecture(A: SymmetricMatrix, B: SymmetricMatrix,
@@ -307,6 +293,8 @@ def probe_permutation_conjecture(A: SymmetricMatrix, B: SymmetricMatrix,
     """
     if A.n != B.n:
         raise ValueError("dimension mismatch")
+    if not 0 <= i < A.n:
+        raise ValueError(f"eigenvalue index {i} is out of range 0..{A.n - 1}")
     basis_a = eigh(A)
     basis_b = eigh(B)
     if not basis_a.spectrum.is_simple(i) or not basis_b.spectrum.is_simple(i):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from eigenrecon import cli, core
+from eigenrecon import cli, core, squares
 
 SWAP = "2\n0 1\n1 0\n"
 P3 = "3\n0 1 0\n1 0 1\n0 1 0\n"
@@ -161,3 +161,45 @@ def test_non_finite_vector_exits_2(matrix_file, capsys):
     assert code == 2
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["rank1", "{a}", "--x", "ones", "--t", "nan"],
+                 "t must be finite", id="rank1-t-nan"),
+    pytest.param(["rank1", "{a}", "--x", "ones", "--t", "inf"],
+                 "t must be finite", id="rank1-t-inf"),
+    pytest.param(["det-check", "{a}", "--x", "ones", "--t", "nan"],
+                 "t must be finite", id="det-check-t-nan"),
+    pytest.param(["tmain", "{a}", "{a}", "--t-samples", "2,nan,0"],
+                 "t_samples must be finite", id="tmain-t-samples-nan"),
+    pytest.param(["eig", "{a}", "--cluster-tol", "nan"],
+                 "cluster_tol must be nonnegative", id="eig-cluster-tol-nan"),
+    pytest.param(["probe-tau", "{a}", "{a}", "--index", "9"],
+                 "out of range", id="probe-tau-index-9"),
+    pytest.param(["probe-tau", "{a}", "{a}", "--index", "-1"],
+                 "out of range", id="probe-tau-index-minus-1"),
+])
+def test_hostile_flag_exits_2(matrix_file, capsys, argv, message):
+    a = matrix_file("a.txt", P3)
+    code = cli.main([arg.format(a=a) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+def test_squares_warnings_on_stderr(matrix_file, capsys, monkeypatch):
+    def inconsistent(A, cluster_tol=None):
+        spec = core.cluster_spectrum([0.5, 0.0, -0.5])
+        return squares.square_table_from_deck(spec, core.deck(A))
+
+    monkeypatch.setattr(squares, "square_table", inconsistent)
+    code = cli.main(["squares", matrix_file("a.txt", P3)])
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = captured.err.splitlines()
+    assert len(lines) == 7
+    assert lines[0].startswith("warning: negative_square in column 0: -1.5")
+    assert lines[3].startswith("warning: column_sum in column 1: 8")
+    assert len(json.loads(captured.out)["warnings"]) == 7

@@ -123,6 +123,13 @@ class TestDeck:
         for card in core.deck(A).card_spectra:
             assert core.check_interlacing(parent, card)
 
+    def test_parent_is_eigh_of_matrix(self):
+        A = random_symmetric(np.random.default_rng(23), 7)
+        parent, direct = core.deck(A).parent, core.eigh(A)
+        assert np.array_equal(parent.spectrum.values, direct.spectrum.values)
+        assert parent.spectrum.clusters == direct.spectrum.clusters
+        assert np.array_equal(parent.vectors, direct.vectors)
+
     def test_char_poly_derivative_identity(self):
         # d/dlam det(lam*I - A) equals the sum of the deck char polys.
         rng = np.random.default_rng(23)

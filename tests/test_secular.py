@@ -216,7 +216,7 @@ class TestRank1Update:
         # next to the copy of 1 that stays retained.
         basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([2.0, 1.0, 1.0])))
         r = secular.rank1_update(basis, np.array([0.0, 1e-7, 0.0]), -1.0)
-        assert r.warnings == (secular.UpdateWarning("near_degenerate", 0, r.values[2]),)
+        assert r.warnings == (core.Diagnostic("near_degenerate", 0, r.values[2]),)
         assert r.origins[2] == ("root", 0)
 
     def test_t_zero_identity(self):

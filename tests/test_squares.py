@@ -118,6 +118,25 @@ class TestSquareTable:
         assert payload["simple"] == [0]
         assert payload["table"][0][1] is None
 
+    def test_inconsistent_spectra_diagnostics(self):
+        # The P3 deck against a parent spectrum that it does not interlace:
+        # columns 0 and 2 get negative cells, and no column sums to 1.
+        P3 = core.SymmetricMatrix.from_array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        spec = core.cluster_spectrum([0.5, 0.0, -0.5])
+        t = squares.square_table_from_deck(spec, core.deck(P3))
+        assert [(w.code, w.index) for w in t.warnings] == [
+            ("negative_square", 0), ("negative_square", 0), ("column_sum", 0),
+            ("column_sum", 1),
+            ("negative_square", 2), ("negative_square", 2), ("column_sum", 2),
+        ]
+        assert t.warnings[0].value == t.table[0, 0]
+        assert t.warnings[0].value == pytest.approx(-1.5)
+        assert t.warnings[2].value == pytest.approx(-2.5)
+        assert t.warnings[3].value == pytest.approx(8.0)
+        payload = json.loads(t.to_json())
+        assert payload["warnings"][2] == {
+            "code": "column_sum", "index": 0, "value": t.warnings[2].value}
+
 
 class TestCompareSquares:
     def test_self_comparison(self):
