@@ -46,7 +46,7 @@ class SymmetricMatrix:
         return self.entries.shape[0]
 
     @classmethod
-    def from_array(cls, arr, sym_tol: float = SYM_TOL) -> "SymmetricMatrix":
+    def from_array(cls, arr) -> "SymmetricMatrix":
         m = np.asarray(arr, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -57,10 +57,10 @@ class SymmetricMatrix:
             raise ValueError("matrix entries must be finite")
         scale = max(1.0, peak)
         asym = float(np.max(np.abs(m - m.T)))
-        if asym > sym_tol * scale:
+        if asym > SYM_TOL * scale:
             raise ValueError(
                 f"input is not symmetric: max |M - M^T| = {asym:.3e} "
-                f"exceeds {sym_tol:.1e} * {scale:.3e}"
+                f"exceeds {SYM_TOL:.1e} * {scale:.3e}"
             )
         sym = (m + m.T) / 2.0
         sym.setflags(write=False)
@@ -237,14 +237,14 @@ class SpectralDeck:
         return len(self.card_spectra)
 
 
-def check_interlacing(parent: Spectrum, card: Spectrum,
-                      slack: float = INTERLACE_SLACK) -> bool:
+def check_interlacing(parent: Spectrum, card: Spectrum) -> bool:
     """Cauchy interlacing lambda_k(A) >= lambda_k(A_m) >= lambda_{k+1}(A)."""
     lam = parent.values
     mu = card.values
     if len(mu) != len(lam) - 1:
         raise ValueError("card must have length n-1")
-    return bool(np.all(lam[:-1] + slack >= mu) and np.all(mu + slack >= lam[1:]))
+    return bool(np.all(lam[:-1] + INTERLACE_SLACK >= mu)
+                and np.all(mu + INTERLACE_SLACK >= lam[1:]))
 
 
 def deck(A: SymmetricMatrix, cluster_tol: float | None = None) -> SpectralDeck:
@@ -306,13 +306,13 @@ def _parse_reals(tokens: list[str]) -> np.ndarray:
         raise MatrixFormatError(f"non-numeric token: {exc}") from None
 
 
-def parse_matrix(text: str, sym_tol: float = SYM_TOL) -> SymmetricMatrix:
+def parse_matrix(text: str) -> SymmetricMatrix:
     n, toks = _header(text)
     if len(toks) != n * n:
         raise MatrixFormatError(f"expected {n * n} entries for n={n}, got {len(toks)}")
     entries = _parse_reals(toks).reshape(n, n)
     try:
-        return SymmetricMatrix.from_array(entries, sym_tol=sym_tol)
+        return SymmetricMatrix.from_array(entries)
     except ValueError as exc:
         raise MatrixFormatError(str(exc)) from None
 

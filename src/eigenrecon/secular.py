@@ -55,12 +55,11 @@ class SecularSystem:
         return len(self.active)
 
 
-def build_secular(basis: EigenBasis, x, t: float,
-                  deflate_tol: float = DEFLATE_TOL) -> SecularSystem:
+def build_secular(basis: EigenBasis, x, t: float) -> SecularSystem:
     """Project x onto the eigenbasis and aggregate weights per cluster.
 
     A cluster enters the active set when its aggregated weight exceeds
-    deflate_tol * ||x||^2; with t = 0 the active set is empty and the
+    DEFLATE_TOL * ||x||^2; with t = 0 the active set is empty and the
     update is a no-op. A non-finite t raises ValueError.
     """
     if not np.isfinite(t):
@@ -77,7 +76,7 @@ def build_secular(basis: EigenBasis, x, t: float,
         active: tuple[int, ...] = ()
     else:
         active = tuple(
-            k for k in range(len(weights)) if weights[k] > deflate_tol * xsq
+            k for k in range(len(weights)) if weights[k] > DEFLATE_TOL * xsq
         )
     active_poles = poles[list(active)]
     active_weights = weights[list(active)]
@@ -115,11 +114,13 @@ def _open_at_pole(f, pole: float, side: int,
                   limit: float) -> tuple[float, float]:
     # f has a negative scale, so it diverges to +inf above each pole and to
     # -inf below it. Step off the pole toward `limit` until the evaluated
-    # sign matches; the first offset almost always suffices.
+    # sign matches; the first offset almost always suffices. Once the offset
+    # falls below half the float spacing at the pole, pole + off rounds back
+    # to the pole and no bracket is left to open.
     off = POLE_OFFSET_SCALE * max(1.0, abs(pole))
     for _ in range(80):
         point = pole + side * off
-        if (side > 0 and point >= limit) or (side < 0 and point <= limit):
+        if point == pole or (point >= limit if side > 0 else point <= limit):
             break
         value = f(point)
         if value == 0.0 or (value > 0.0) == (side > 0):
@@ -203,9 +204,7 @@ class UpdateResult:
         return self.eigenvalues.values
 
 
-def rank1_update(basis: EigenBasis, x, t: float,
-                 deflate_tol: float = DEFLATE_TOL,
-                 cluster_tol: float | None = None) -> UpdateResult:
+def rank1_update(basis: EigenBasis, x, t: float) -> UpdateResult:
     """Full eigenvalue set of A + t*x*x^T, with eigenvectors for new roots.
 
     Retained values are the eigenvalues of clusters deflated out of the
@@ -214,7 +213,7 @@ def rank1_update(basis: EigenBasis, x, t: float,
     normalized; a root landing within 1e-10 * spread of a retained value is
     flagged near-degenerate but still emitted.
     """
-    sys = build_secular(basis, x, t, deflate_tol)
+    sys = build_secular(basis, x, t)
     spec = basis.spectrum
 
     entries: list[tuple[float, tuple[str, int], np.ndarray | None]] = []
@@ -247,7 +246,7 @@ def rank1_update(basis: EigenBasis, x, t: float,
     entries.sort(key=lambda e: -e[0])
     values = np.array([e[0] for e in entries])
     return UpdateResult(
-        cluster_spectrum(values, cluster_tol),
+        cluster_spectrum(values),
         tuple(e[1] for e in entries),
         tuple(e[2] for e in entries),
         tuple(warnings),
@@ -273,10 +272,12 @@ def verify_det_identity(basis: EigenBasis, x, t: float, probes: int = 20,
 
     The left side is evaluated from an independent eigendecomposition of the
     updated matrix; probe points are sampled away from every eigenvalue of A
-    by at least 1e-3 * spread.
+    by at least 1e-3 * spread. Fewer than one probe raises ValueError.
     """
     from .core import SymmetricMatrix, char_poly_eval, eigh
 
+    if probes < 1:
+        raise ValueError(f"probes must be at least 1, got {probes}")
     x = np.asarray(x, dtype=float)
     sys = build_secular(basis, x, t)
     A = basis.vectors @ np.diag(basis.spectrum.values) @ basis.vectors.T

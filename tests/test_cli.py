@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -105,13 +106,6 @@ def test_probe_tau(matrix_file, capsys):
     assert payload["permutation"] == [1, 0]
 
 
-def test_text_format(matrix_file, capsys):
-    code, out = run(capsys, "eig", matrix_file("a.txt", SWAP),
-                    "--format", "text")
-    assert code == 0
-    assert "eigenvalue" in out
-
-
 def test_unparseable_exits_2(matrix_file, capsys):
     code, _ = run(capsys, "eig", matrix_file("a.txt", "2\n0 1\n1"))
     assert code == 2
@@ -178,6 +172,16 @@ def test_non_finite_vector_exits_2(matrix_file, capsys):
                  "out of range", id="probe-tau-index-9"),
     pytest.param(["probe-tau", "{a}", "{a}", "--index", "-1"],
                  "out of range", id="probe-tau-index-minus-1"),
+    pytest.param(["det-check", "{a}", "--x", "ones", "--t", "-0.4", "--probes", "0"],
+                 "probes must be at least 1", id="det-check-probes-0"),
+    pytest.param(["det-check", "{a}", "--x", "ones", "--t", "-0.4", "--probes", "-3"],
+                 "probes must be at least 1", id="det-check-probes-minus-3"),
+    pytest.param(["gm-verify", "{a}", "{a}", "--tol", "nan"],
+                 "tol must be nonnegative", id="gm-verify-tol-nan"),
+    pytest.param(["tmain", "{a}", "{a}", "--tol", "-1"],
+                 "tol must be nonnegative", id="tmain-tol-minus-1"),
+    pytest.param(["probe-tau", "{a}", "{a}", "--tol", "nan"],
+                 "tol must be nonnegative", id="probe-tau-tol-nan"),
 ])
 def test_hostile_flag_exits_2(matrix_file, capsys, argv, message):
     a = matrix_file("a.txt", P3)
@@ -203,3 +207,69 @@ def test_squares_warnings_on_stderr(matrix_file, capsys, monkeypatch):
     assert lines[0].startswith("warning: negative_square in column 0: -1.5")
     assert lines[3].startswith("warning: column_sum in column 1: 8")
     assert len(json.loads(captured.out)["warnings"]) == 7
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["rank1", "{a}", "--x", "ones", "--t", "-0.5", "--deflate-tol", "0.3"],
+                 id="rank1-deflate-tol"),
+    pytest.param(["gm-verify", "{a}", "{a}", "--cluster-tol", "5"],
+                 id="gm-verify-cluster-tol"),
+    pytest.param(["eig", "{a}", "--format", "text"], id="eig-format-text"),
+])
+def test_removed_flag_exits_2(matrix_file, capsys, argv):
+    a = matrix_file("a.txt", P3)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([arg.format(a=a) for arg in argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_solver_failure_exits_3(matrix_file, capsys):
+    # At 1e6 scale a 1e-6 update leaves no float between some pole and its
+    # root, so no secular bracket can be opened there.
+    rng = np.random.default_rng(10)
+    m = rng.uniform(-1, 1, (8, 8))
+    a = matrix_file("a.txt", core.format_matrix(
+        core.SymmetricMatrix.from_array(1e6 * (m + m.T) / 2)))
+    x = matrix_file("x.txt", core.format_vector(rng.uniform(-1, 1, 8)))
+    code = cli.main(["rank1", a, "--x", x, "--t", "1e-6"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "could not open a bracket" in captured.err
+
+
+# One valid command line per subcommand, every one of its flags at its default.
+VALID_ARGV = {
+    "eig": ["eig", "{a}"],
+    "deck": ["deck", "{a}"],
+    "squares": ["squares", "{a}"],
+    "rank1": ["rank1", "{a}", "--x", "ones", "--t", "-0.5"],
+    "det-check": ["det-check", "{a}", "--x", "ones", "--t", "-0.4"],
+    "gm-verify": ["gm-verify", "{a}", "{a}"],
+    "tmain": ["tmain", "{a}", "{a}", "--t-samples", "2,-1,-0.5"],
+    "probe-tau": ["probe-tau", "{a}", "{a}"],
+}
+SUBCOMMANDS = next(action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+
+
+# A parsed value that its handler never reads is a flag the CLI accepts and
+# silently ignores.
+@pytest.mark.parametrize("subcommand", sorted(SUBCOMMANDS))
+def test_every_flag_is_read(matrix_file, capsys, subcommand):
+    reads = set()
+
+    class ReadRecorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    a = matrix_file("a.txt", P3)
+    argv = [arg.format(a=a) for arg in VALID_ARGV[subcommand]]
+    args = cli.build_parser().parse_args(argv, namespace=ReadRecorder())
+    reads.clear()
+    assert args.func(args) == 0
+    capsys.readouterr()
+    assert set(vars(args)) - {"func"} - reads == set()

@@ -219,6 +219,15 @@ class TestRank1Update:
         assert r.warnings == (core.Diagnostic("near_degenerate", 0, r.values[2]),)
         assert r.origins[2] == ("root", 0)
 
+    def test_unopenable_bracket_raises_bracket_error(self):
+        # At 1e6 scale a 1e-6 update leaves no float between some pole and
+        # its root; the search stops there instead of evaluating at the pole.
+        rng = np.random.default_rng(10)
+        A, x = random_instance(rng, 8)
+        basis = core.eigh(core.SymmetricMatrix.from_array(1e6 * A.entries))
+        with pytest.raises(secular.BracketError, match="could not open a bracket"):
+            secular.rank1_update(basis, x, 1e-6)
+
     def test_t_zero_identity(self):
         basis = swap_basis()
         r = secular.rank1_update(basis, np.ones(2), 0.0)
