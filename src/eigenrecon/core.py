@@ -161,6 +161,33 @@ def canonical_column_signs(vectors: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.where(lead < 0, -vectors, vectors))
 
 
+def _threshold(a: np.ndarray) -> float:
+    """The rotation threshold 1e-14 * ||a||_F.
+
+    The plain norm overflows to inf from entries near 1e154 and underflows
+    to 0 near 1e-170, which would leave the matrix unrotated; only then is
+    the norm taken of a / max|a| and scaled back.
+    """
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(a))
+    if fro == 0.0 or fro == np.inf:
+        peak = float(np.max(np.abs(a)))
+        if peak > 0.0:
+            fro = peak * float(np.linalg.norm(a / peak))
+    return 1e-14 * fro
+
+
+def _basis(a: np.ndarray, p: np.ndarray,
+           cluster_tol: float | None) -> EigenBasis:
+    """Sorted spectrum and sign-fixed vectors of a diagonalised matrix a = P^T A P."""
+    diag = np.diag(a).copy()
+    order = np.argsort(-diag, kind="stable")
+    values = diag[order]
+    vectors = canonical_column_signs(p[:, order])
+    vectors.setflags(write=False)
+    return EigenBasis(cluster_spectrum(values, cluster_tol), vectors)
+
+
 def eigh(A: SymmetricMatrix, cluster_tol: float | None = None) -> EigenBasis:
     """Full eigendecomposition by cyclic Jacobi rotations.
 
@@ -171,10 +198,9 @@ def eigh(A: SymmetricMatrix, cluster_tol: float | None = None) -> EigenBasis:
     n = A.n
     a = A.entries.copy()
     p = np.eye(n)
-    fro = float(np.linalg.norm(a))
-    thresh = 1e-14 * fro
+    thresh = _threshold(a)
 
-    if n == 1 or fro == 0.0:
+    if n == 1 or thresh == 0.0:
         rotated = False
     else:
         rotated = True
@@ -214,12 +240,68 @@ def eigh(A: SymmetricMatrix, cluster_tol: float | None = None) -> EigenBasis:
                 p[:, j] = s * pc_i + c * pc_j
         sweeps += 1
 
-    diag = np.diag(a).copy()
-    order = np.argsort(-diag, kind="stable")
-    values = diag[order]
-    vectors = canonical_column_signs(p[:, order])
-    vectors.setflags(write=False)
-    return EigenBasis(cluster_spectrum(values, cluster_tol), vectors)
+    return _basis(a, p, cluster_tol)
+
+
+def _jacobi(stack: np.ndarray,
+            thresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sweeps of ``eigh`` run on every matrix of a (b, n, n) stack at once.
+
+    Matrix r is rotated at (i, j) only when its own entry exceeds
+    ``thresh[r]``; the others are not touched, so each result is bit-identical
+    to ``eigh`` on that matrix alone with the same threshold. Returns the
+    rotated stack and the accumulated rotations, both (b, n, n).
+    """
+    b, n, _ = stack.shape
+    # a on top of p, so one column rotation updates both.
+    work = np.concatenate([stack, np.broadcast_to(np.eye(n), (b, n, n))], axis=1)
+    a = work[:, :n]
+    # eigh leaves a matrix with a zero threshold unrotated.
+    thresh = np.where(thresh == 0.0, np.inf, thresh)
+    rotated = n > 1
+    sweeps = 0
+    while rotated:
+        if sweeps >= JACOBI_MAX_SWEEPS:
+            raise ConvergenceError(
+                f"Jacobi failed to converge in {JACOBI_MAX_SWEEPS} sweeps"
+            )
+        rotated = False
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                act = np.abs(a[:, i, j]) > thresh
+                if not act.any():
+                    continue
+                rotated = True
+                r = slice(None) if act.all() else np.flatnonzero(act)
+                apq = a[r, i, j]
+                theta = (a[r, j, j] - a[r, i, i]) / (2.0 * apq)
+                t = np.sign(theta) / (np.abs(theta) + np.hypot(theta, 1.0))
+                t[theta == 0.0] = 1.0
+                c = 1.0 / np.hypot(t, 1.0)
+                s = (t * c)[:, None]
+                c = c[:, None]
+                row_i = a[r, i]
+                row_j = a[r, j]
+                a[r, i], a[r, j] = c * row_i - s * row_j, s * row_i + c * row_j
+                col_i = work[r, :, i]
+                col_j = work[r, :, j]
+                work[r, :, i], work[r, :, j] = (c * col_i - s * col_j,
+                                                s * col_i + c * col_j)
+                a[r, i, j] = 0.0
+                a[r, j, i] = 0.0
+        sweeps += 1
+    return a, work[:, n:]
+
+
+def eigh_stack(matrices) -> list[EigenBasis]:
+    """``eigh`` of several same-size matrices, solved together in one stack.
+
+    Each result is bit-identical to ``eigh`` of that matrix alone; a stack
+    pays off only when it holds more than a few matrices.
+    """
+    stack = np.stack([M.entries for M in matrices])
+    a, p = _jacobi(stack, np.array([_threshold(m) for m in stack]))
+    return [_basis(a[r], p[r], None) for r in range(len(stack))]
 
 
 @dataclass(frozen=True)
@@ -253,12 +335,24 @@ def deck(A: SymmetricMatrix, cluster_tol: float | None = None) -> SpectralDeck:
     Each card is checked against the parent spectrum for Cauchy interlacing;
     a violation means the eigensolver went wrong, not the input.
     """
-    if A.n < 2:
+    n = A.n
+    if n < 2:
         raise ValueError("deck requires n >= 2")
-    parent = eigh(A, cluster_tol)
+    # A itself, then for each m a copy of A with row and column m zeroed.
+    # No rotation ever touches the zeroed row, so card m is its diagonal
+    # without entry m; each threshold is the one eigh(A.delete(m)) uses.
+    stack = np.repeat(A.entries[None], n + 1, axis=0)
+    thresh = [_threshold(A.entries)]
+    for m in range(n):
+        stack[m + 1, m, :] = 0.0
+        stack[m + 1, :, m] = 0.0
+        thresh.append(_threshold(A.delete(m).entries))
+    a, p = _jacobi(stack, np.array(thresh))
+    parent = _basis(a[0], p[0], cluster_tol)
     cards = []
-    for m in range(A.n):
-        card = eigh(A.delete(m), cluster_tol).spectrum
+    for m in range(n):
+        diag = np.delete(np.diag(a[m + 1]), m)
+        card = cluster_spectrum(diag[np.argsort(-diag, kind="stable")], cluster_tol)
         if not check_interlacing(parent.spectrum, card):
             raise ConvergenceError(f"deck card {m} violates Cauchy interlacing")
         cards.append(card)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Diagnostic, EigenBasis, Spectrum, canonical_column_signs,
-                   cluster_spectrum)
+                   cluster_spectrum, default_cluster_tol)
 
 DEFLATE_TOL = 1e-12
 POLE_OFFSET_SCALE = 1e-13
@@ -60,15 +60,23 @@ def build_secular(basis: EigenBasis, x, t: float) -> SecularSystem:
 
     A cluster enters the active set when its aggregated weight exceeds
     DEFLATE_TOL * ||x||^2; with t = 0 the active set is empty and the
-    update is a no-op. A non-finite t raises ValueError.
+    update is a no-op. A non-finite t raises ValueError, and so does a
+    cluster wider than ``default_cluster_tol``: each cluster is taken as one
+    eigenvalue of exact multiplicity, so a wider one merges distinct poles.
     """
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     x = np.asarray(x, dtype=float)
     if x.shape != (basis.n,):
         raise ValueError(f"x has shape {x.shape}, expected ({basis.n},)")
-    q = basis.vectors.T @ x
     spec = basis.spectrum
+    widest = max(float(spec.values[c[0]] - spec.values[c[-1]]) for c in spec.clusters)
+    limit = default_cluster_tol(spec.values)
+    if widest > limit:
+        raise ValueError(
+            f"a cluster spans {widest:.3e}, wider than {limit:.3e}; the "
+            "secular equation needs exact multiplicities")
+    q = basis.vectors.T @ x
     poles = np.array([np.mean(spec.values[list(c)]) for c in spec.clusters])
     weights = np.array([float(np.sum(q[list(c)] ** 2)) for c in spec.clusters])
     xsq = float(x @ x)

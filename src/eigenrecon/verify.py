@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import EigenBasis, SymmetricMatrix, deck, eigh
+from .core import EigenBasis, SymmetricMatrix, deck, eigh, eigh_stack
 from .secular import rank1_update
 from .squares import SquareComparison, compare_squares, square_table_from_deck
 
@@ -117,11 +117,11 @@ def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix,
     n = A.n
     ones = np.ones(n)
     J = np.outer(ones, ones)
-    basis_a = eigh(A)
+    shifted = [SymmetricMatrix.from_array(M.entries + t * J)
+               for t in t_samples for M in (A, B)]
+    basis_a, *solved = eigh_stack([A, *shifted])
     records = []
-    for t in t_samples:
-        shifted_a = eigh(SymmetricMatrix.from_array(A.entries + t * J))
-        shifted_b = eigh(SymmetricMatrix.from_array(B.entries + t * J))
+    for t, shifted_a, shifted_b in zip(t_samples, solved[0::2], solved[1::2]):
         low_a = float(shifted_a.spectrum.values[-1])
         low_b = float(shifted_b.spectrum.values[-1])
         va = shifted_a.vectors[:, -1]
@@ -218,14 +218,18 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, tol: float = 1e-8,
     )
     multiset_devs = None
     if multiset_deck:
-        # Greedy lexicographic matching of sorted cards: sort both decks by
-        # eigenvalue tuples and compare positionally.
-        sa = sorted(tuple(c.values) for c in deck_a.card_spectra)
-        sb = sorted(tuple(c.values) for c in deck_b.card_spectra)
-        multiset_devs = tuple(
-            float(np.max(np.abs(np.array(ca) - np.array(cb))))
-            for ca, cb in zip(sa, sb)
-        )
+        # Greedy matching in A's card order: each card of A takes the unused
+        # card of B closest in max-abs deviation (ties to the lower index).
+        # Sorting cards lexicographically instead flips cards whose leading
+        # eigenvalues tie up to rounding.
+        unused = list(deck_b.card_spectra)
+        devs = []
+        for ca in deck_a.card_spectra:
+            gaps = [float(np.max(np.abs(ca.values - cb.values))) for cb in unused]
+            k = int(np.argmin(gaps))
+            devs.append(gaps[k])
+            del unused[k]
+        multiset_devs = tuple(devs)
 
     table_a = square_table_from_deck(basis_a.spectrum, deck_a)
     table_b = square_table_from_deck(basis_b.spectrum, deck_b)

@@ -182,6 +182,10 @@ def test_non_finite_vector_exits_2(matrix_file, capsys):
                  "tol must be nonnegative", id="tmain-tol-minus-1"),
     pytest.param(["probe-tau", "{a}", "{a}", "--tol", "nan"],
                  "tol must be nonnegative", id="probe-tau-tol-nan"),
+    pytest.param(["rank1", "{a}", "--x", "ones", "--t", "-0.5", "--cluster-tol", "5"],
+                 "exact multiplicities", id="rank1-cluster-tol-5"),
+    pytest.param(["det-check", "{a}", "--x", "ones", "--t", "-0.5", "--cluster-tol", "5"],
+                 "exact multiplicities", id="det-check-cluster-tol-5"),
 ])
 def test_hostile_flag_exits_2(matrix_file, capsys, argv, message):
     a = matrix_file("a.txt", P3)

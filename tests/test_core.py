@@ -144,6 +144,111 @@ class TestDeck:
             assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs), 1.0)
 
 
+def same_basis(x, y) -> bool:
+    """Byte-for-byte equal values, clusters and vectors (so -0.0 != 0.0)."""
+    return (x.spectrum.values.tobytes() == y.spectrum.values.tobytes()
+            and x.spectrum.clusters == y.spectrum.clusters
+            and x.vectors.tobytes() == y.vectors.tobytes())
+
+
+def hard_matrices(n, seed):
+    """Inputs where a stacked Jacobi loop could round differently from eigh."""
+    rng = np.random.default_rng(seed)
+    m = random_symmetric(rng, n).entries
+    path = np.eye(n, k=1) + np.eye(n, k=-1)  # zero diagonal: theta is +-0.0
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    repeated = q @ np.diag(np.where(np.arange(n) < n // 2, 1.0, -2.0)) @ q.T
+    signed_zeros = np.where(np.abs(m) < 0.4, -0.0, m)
+    grades = 10.0 ** -np.arange(n)
+    return {
+        "random": m,
+        "zero": np.zeros((n, n)),
+        "scalar": 3.0 * np.eye(n),
+        "diagonal": np.diag(np.arange(n, dtype=float)),
+        "nearly_diagonal": np.diag(np.arange(n, dtype=float)) + 1e-9 * m,
+        "path": path,
+        "repeated": (repeated + repeated.T) / 2,
+        "signed_zeros": signed_zeros,
+        "graded": np.outer(grades, grades) * (m + 2.0 * np.eye(n)),
+    }
+
+
+HARD_CASES = [(n, name) for n in (2, 3, 6) for name in hard_matrices(n, 0)]
+
+
+class TestStackedJacobi:
+    @pytest.mark.parametrize("n, name", HARD_CASES)
+    def test_deck_matches_scalar_eigh(self, n, name):
+        A = core.SymmetricMatrix.from_array(hard_matrices(n, 41)[name])
+        cards = core.deck(A)
+        assert same_basis(cards.parent, core.eigh(A))
+        for m, card in enumerate(cards.card_spectra):
+            direct = core.eigh(A.delete(m)).spectrum
+            assert card.values.tobytes() == direct.values.tobytes()
+            assert card.clusters == direct.clusters
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_eigh_stack_matches_scalar_eigh(self, n):
+        # The diagonal member stops after one sweep, the random ones after
+        # several: converged members must stay untouched while others rotate.
+        matrices = [core.SymmetricMatrix.from_array(m)
+                    for seed in (1, 2) for m in hard_matrices(n, seed).values()]
+        for M, basis in zip(matrices, core.eigh_stack(matrices), strict=True):
+            assert same_basis(basis, core.eigh(M))
+
+    def test_deck_cards_use_eigh_thresholds(self, monkeypatch):
+        # The norm of a zero-padded card can round differently from the norm
+        # of the deleted submatrix that eigh sees; here it does for card 0.
+        A = random_symmetric(np.random.default_rng(0), 8)
+        seen = []
+        original = core._jacobi
+
+        def recording(stack, thresh):
+            seen.append(thresh)
+            return original(stack, thresh)
+
+        monkeypatch.setattr(core, "_jacobi", recording)
+        core.deck(A)
+        expected = [core._threshold(A.entries)]
+        expected += [core._threshold(A.delete(m).entries) for m in range(A.n)]
+        assert seen[0].tobytes() == np.array(expected).tobytes()
+
+    def test_signed_zero_entries_survive(self):
+        A = core.SymmetricMatrix.from_array(
+            [[-0.0, -0.0, 1.0], [-0.0, -0.0, 2.0], [1.0, 2.0, -0.0]])
+        assert same_basis(core.eigh_stack([A, A])[1], core.eigh(A))
+        cards = core.deck(A)
+        assert cards.card_spectra[2].values.tobytes() == \
+            core.eigh(A.delete(2)).spectrum.values.tobytes()
+
+
+EXTREME_SCALES = [1e-170, 1e154, 1e200, 1e300]
+
+
+def extreme_bases():
+    return {"2x2": np.array([[3.0, 1.0], [1.0, -2.0]]),
+            "random8": random_symmetric(np.random.default_rng(8), 8).entries}
+
+
+class TestExtremeScales:
+    """The rotation threshold must stay finite and nonzero at any scale."""
+
+    @staticmethod
+    def assert_spectrum(values, entries):
+        expected = np.linalg.eigvalsh(entries)[::-1]
+        assert np.max(np.abs(values - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("scale", EXTREME_SCALES)
+    @pytest.mark.parametrize("name", ["2x2", "random8"])
+    def test_eigh_and_deck_match_numpy(self, name, scale):
+        A = core.SymmetricMatrix.from_array(extreme_bases()[name] * scale)
+        self.assert_spectrum(core.eigh(A).spectrum.values, A.entries)
+        cards = core.deck(A)
+        self.assert_spectrum(cards.parent.spectrum.values, A.entries)
+        for m, card in enumerate(cards.card_spectra):
+            self.assert_spectrum(card.values, A.delete(m).entries)
+
+
 class TestCharPoly:
     def test_examples(self):
         spec = core.cluster_spectrum([1.0, -1.0])

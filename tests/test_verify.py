@@ -124,6 +124,23 @@ class TestVerifyGm:
         # index-aligned devs are recorded either way
         assert len(aligned.deck_devs) == 5
 
+    def test_multiset_deck_pairs_near_tied_cards(self):
+        # Two cards of this graph share their leading eigenvalues up to
+        # rounding, so a lexicographic sort of the cards pairs them wrongly.
+        A = np.array([[0, 0, 0, 0, 0, 0, 1],
+                      [0, 0, 0, 0, 0, 0, 0],
+                      [0, 0, 0, 1, 0, 0, 0],
+                      [0, 0, 1, 0, 1, 1, 0],
+                      [0, 0, 0, 1, 0, 0, 1],
+                      [0, 0, 0, 1, 0, 0, 0],
+                      [1, 0, 0, 0, 1, 0, 0]], dtype=float)
+        perm = [6, 2, 4, 5, 1, 0, 3]
+        report = verify.verify_gm(core.SymmetricMatrix.from_array(A),
+                                  core.SymmetricMatrix.from_array(A[perm][:, perm]),
+                                  multiset_deck=True, t_samples=(-0.5,))
+        assert report.deck_equal
+        assert max(report.deck_multiset_devs) <= 1e-10
+
     def test_dimension_mismatch(self):
         A = random_symmetric(np.random.default_rng(1), 3)
         B = random_symmetric(np.random.default_rng(1), 4)
