@@ -161,22 +161,6 @@ def canonical_column_signs(vectors: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.where(lead < 0, -vectors, vectors))
 
 
-def _threshold(a: np.ndarray) -> float:
-    """The rotation threshold 1e-14 * ||a||_F.
-
-    The plain norm overflows to inf from entries near 1e154 and underflows
-    to 0 near 1e-170, which would leave the matrix unrotated; only then is
-    the norm taken of a / max|a| and scaled back.
-    """
-    with np.errstate(over="ignore"):
-        fro = float(np.linalg.norm(a))
-    if fro == 0.0 or fro == np.inf:
-        peak = float(np.max(np.abs(a)))
-        if peak > 0.0:
-            fro = peak * float(np.linalg.norm(a / peak))
-    return 1e-14 * fro
-
-
 def _basis(a: np.ndarray, p: np.ndarray,
            cluster_tol: float | None) -> EigenBasis:
     """Sorted spectrum and sign-fixed vectors of a diagonalised matrix a = P^T A P."""
@@ -188,120 +172,112 @@ def _basis(a: np.ndarray, p: np.ndarray,
     return EigenBasis(cluster_spectrum(values, cluster_tol), vectors)
 
 
-def eigh(A: SymmetricMatrix, cluster_tol: float | None = None) -> EigenBasis:
-    """Full eigendecomposition by cyclic Jacobi rotations.
+def _rounds(n: int) -> list[tuple[np.ndarray, ...]]:
+    """The rounds of one sweep, as index arrays over every row k.
 
-    Row-cyclic sweeps, rotating whenever the off-diagonal entry exceeds
-    1e-14 * ||A||_F; deterministic for identical input. Raises
-    ConvergenceError after 100 sweeps (never seen on sane input).
+    Round r = 1 .. 2^ceil(log2 n) - 1 pairs row k with k XOR r when that is
+    below n. A pair (i, j), i < j, is read at (lo, hi) = (i, j) from both of
+    its rows, and ``sign`` is -1 on row i and 1 on row j, so that row k
+    becomes c*a_k + sign*s*a_partner. An unpaired row is its own partner,
+    and its infinite ``floor`` keeps it from rotating.
     """
-    n = A.n
-    a = A.entries.copy()
-    p = np.eye(n)
-    thresh = _threshold(a)
-
-    if n == 1 or thresh == 0.0:
-        rotated = False
-    else:
-        rotated = True
-    sweeps = 0
-    while rotated:
-        if sweeps >= JACOBI_MAX_SWEEPS:
-            raise ConvergenceError(
-                f"Jacobi failed to converge in {JACOBI_MAX_SWEEPS} sweeps"
-            )
-        rotated = False
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                apq = a[i, j]
-                if abs(apq) <= thresh:
-                    continue
-                rotated = True
-                theta = (a[j, j] - a[i, i]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                # Rotate rows/columns i and j of a, accumulate in p.
-                row_i = a[i, :].copy()
-                row_j = a[j, :].copy()
-                a[i, :] = c * row_i - s * row_j
-                a[j, :] = s * row_i + c * row_j
-                col_i = a[:, i].copy()
-                col_j = a[:, j].copy()
-                a[:, i] = c * col_i - s * col_j
-                a[:, j] = s * col_i + c * col_j
-                a[i, j] = 0.0
-                a[j, i] = 0.0
-                pc_i = p[:, i].copy()
-                pc_j = p[:, j].copy()
-                p[:, i] = c * pc_i - s * pc_j
-                p[:, j] = s * pc_i + c * pc_j
-        sweeps += 1
-
-    return _basis(a, p, cluster_tol)
+    k = np.arange(n)
+    partner = k ^ np.arange(1, 1 << (n - 1).bit_length())[:, None]
+    paired = partner < n
+    partner = np.where(paired, partner, k)
+    sign = np.where(k < partner, -1.0, 1.0)
+    floor = np.where(paired, np.finfo(float).tiny, np.inf)
+    return list(zip(partner, np.minimum(k, partner), np.maximum(k, partner),
+                    sign, floor))
 
 
-def _jacobi(stack: np.ndarray,
-            thresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sweeps of ``eigh`` run on every matrix of a (b, n, n) stack at once.
+def _jacobi(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi on every matrix of a (b, n, n) stack at once.
 
-    Matrix r is rotated at (i, j) only when its own entry exceeds
-    ``thresh[r]``; the others are not touched, so each result is bit-identical
-    to ``eigh`` on that matrix alone with the same threshold. Returns the
-    rotated stack and the accumulated rotations, both (b, n, n).
+    A sweep runs the rounds of ``_rounds``; each round rotates its disjoint
+    pairs together, elementwise through index arrays and never through BLAS
+    products, so the result is deterministic. Pair (i, j) of a matrix
+    rotates when |a_ij| > max(1e-15 sqrt|a_ii| sqrt|a_jj|, tiny), the
+    relative rule of Demmel and Veselic; the floor lets exact zero
+    eigenvalues terminate and keeps zero rows unrotated. A matrix with no
+    such pair in a round is not touched, and its other pairs get c = 1,
+    s = 0, so each result is bit-identical to solving that matrix alone. A
+    pair's round depends only on i XOR j, so a matrix padded with zero rows
+    and columns at the end rotates exactly like the unpadded one. Sweeps
+    stop once no matrix rotated; ConvergenceError after JACOBI_MAX_SWEEPS.
+    Returns the rotated stack and the accumulated rotations, both (b, n, n).
     """
     b, n, _ = stack.shape
     # a on top of p, so one column rotation updates both.
     work = np.concatenate([stack, np.broadcast_to(np.eye(n), (b, n, n))], axis=1)
-    a = work[:, :n]
-    # eigh leaves a matrix with a zero threshold unrotated.
-    thresh = np.where(thresh == 0.0, np.inf, thresh)
+    rounds = _rounds(n)
+    k = np.arange(n)
     rotated = n > 1
     sweeps = 0
-    while rotated:
-        if sweeps >= JACOBI_MAX_SWEEPS:
-            raise ConvergenceError(
-                f"Jacobi failed to converge in {JACOBI_MAX_SWEEPS} sweeps"
-            )
-        rotated = False
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                act = np.abs(a[:, i, j]) > thresh
-                if not act.any():
+    # theta overflows to inf at extreme scales, which gives t = 0; pairs
+    # that do not rotate may divide by zero, and get c = 1, s = 0.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while rotated:
+            if sweeps >= JACOBI_MAX_SWEEPS:
+                raise ConvergenceError(
+                    f"Jacobi failed to converge in {JACOBI_MAX_SWEEPS} sweeps"
+                )
+            rotated = False
+            for partner, lo, hi, sign, floor in rounds:
+                apq = work[:, lo, hi]
+                d = np.diagonal(work, axis1=1, axis2=2)
+                root = np.sqrt(np.abs(d))
+                act = np.abs(apq) > np.maximum(1e-15 * root[:, lo] * root[:, hi], floor)
+                rows = act.any(axis=1)
+                if not rows.any():
                     continue
                 rotated = True
-                r = slice(None) if act.all() else np.flatnonzero(act)
-                apq = a[r, i, j]
-                theta = (a[r, j, j] - a[r, i, i]) / (2.0 * apq)
+                w = work
+                if not rows.all():
+                    r = np.flatnonzero(rows)
+                    w, act, apq, d = work[r], act[r], apq[r], d[r]
+                theta = (d[:, hi] - d[:, lo]) / (2.0 * apq)
                 t = np.sign(theta) / (np.abs(theta) + np.hypot(theta, 1.0))
                 t[theta == 0.0] = 1.0
                 c = 1.0 / np.hypot(t, 1.0)
-                s = (t * c)[:, None]
-                c = c[:, None]
-                row_i = a[r, i]
-                row_j = a[r, j]
-                a[r, i], a[r, j] = c * row_i - s * row_j, s * row_i + c * row_j
-                col_i = work[r, :, i]
-                col_j = work[r, :, j]
-                work[r, :, i], work[r, :, j] = (c * col_i - s * col_j,
-                                                s * col_i + c * col_j)
-                a[r, i, j] = 0.0
-                a[r, j, i] = 0.0
-        sweeps += 1
-    return a, work[:, n:]
+                # The sign goes on s = 0 too: a row paired with a zero pad
+                # row then keeps its -0.0 entries, as an unpaired row does.
+                s = np.where(act, t * c, 0.0) * sign
+                c = np.where(act, c, 1.0)
+                a = w[:, :n]
+                rows_in = a[:, partner]
+                rows_in *= s[:, :, None]
+                a *= c[:, :, None]
+                a += rows_in
+                cols_in = w[:, :, partner]
+                cols_in *= s[:, None]
+                w *= c[:, None]
+                w += cols_in
+                a[:, k, partner] = np.where(act, 0.0, a[:, k, partner])
+                if w is not work:
+                    work[r] = w
+            sweeps += 1
+    return work[:, :n], work[:, n:]
+
+
+def eigh(A: SymmetricMatrix, cluster_tol: float | None = None) -> EigenBasis:
+    """Full eigendecomposition by cyclic Jacobi rotations (``_jacobi``).
+
+    Deterministic for identical input, with relative accuracy on graded
+    positive-definite matrices. Raises ConvergenceError after 100 sweeps
+    (never seen on sane input).
+    """
+    a, p = _jacobi(A.entries[None])
+    return _basis(a[0], p[0], cluster_tol)
 
 
 def eigh_stack(matrices) -> list[EigenBasis]:
     """``eigh`` of several same-size matrices, solved together in one stack.
 
-    Each result is bit-identical to ``eigh`` of that matrix alone; a stack
-    pays off only when it holds more than a few matrices.
+    Each result is bit-identical to ``eigh`` of that matrix alone.
     """
-    stack = np.stack([M.entries for M in matrices])
-    a, p = _jacobi(stack, np.array([_threshold(m) for m in stack]))
-    return [_basis(a[r], p[r], None) for r in range(len(stack))]
+    a, p = _jacobi(np.stack([M.entries for M in matrices]))
+    return [_basis(a[r], p[r], None) for r in range(len(a))]
 
 
 @dataclass(frozen=True)
@@ -338,20 +314,18 @@ def deck(A: SymmetricMatrix, cluster_tol: float | None = None) -> SpectralDeck:
     n = A.n
     if n < 2:
         raise ValueError("deck requires n >= 2")
-    # A itself, then for each m a copy of A with row and column m zeroed.
-    # No rotation ever touches the zeroed row, so card m is its diagonal
-    # without entry m; each threshold is the one eigh(A.delete(m)) uses.
-    stack = np.repeat(A.entries[None], n + 1, axis=0)
-    thresh = [_threshold(A.entries)]
-    for m in range(n):
-        stack[m + 1, m, :] = 0.0
-        stack[m + 1, :, m] = 0.0
-        thresh.append(_threshold(A.delete(m).entries))
-    a, p = _jacobi(stack, np.array(thresh))
+    # A itself, then each card A.delete(m) in the top-left corner of an n x n
+    # zero matrix, which _jacobi rotates exactly as eigh(A.delete(m)) would.
+    q = np.arange(n - 1)
+    keep = q + (q >= np.arange(n)[:, None])  # row m: the indices other than m
+    stack = np.zeros((n + 1, n, n))
+    stack[0] = A.entries
+    stack[1:, :-1, :-1] = A.entries[keep[:, :, None], keep[:, None, :]]
+    a, p = _jacobi(stack)
     parent = _basis(a[0], p[0], cluster_tol)
     cards = []
     for m in range(n):
-        diag = np.delete(np.diag(a[m + 1]), m)
+        diag = np.diag(a[m + 1])[:-1]
         card = cluster_spectrum(diag[np.argsort(-diag, kind="stable")], cluster_tol)
         if not check_interlacing(parent.spectrum, card):
             raise ConvergenceError(f"deck card {m} violates Cauchy interlacing")

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import Diagnostic, EigenBasis, SpectralDeck, Spectrum, SymmetricMatrix, deck
+from .core import Diagnostic, SpectralDeck, Spectrum, SymmetricMatrix, deck
 
 CLAMP_TOL = 1e-10
 ROW_SUM_TOL = 1e-8
@@ -107,17 +107,6 @@ def square_table_from_deck(spec: Spectrum, cards: SpectralDeck) -> SquareTable:
             warnings.append(Diagnostic("column_sum", i, colsum))
     table.setflags(write=False)
     return SquareTable(n, table, simple, "deck", tuple(warnings))
-
-
-def square_table_from_basis(basis: EigenBasis) -> SquareTable:
-    """Squared entries taken directly from an eigendecomposition."""
-    n = basis.n
-    table = np.full((n, n), np.nan)
-    simple = tuple(i for i in range(n) if basis.spectrum.is_simple(i))
-    for i in simple:
-        table[:, i] = basis.vectors[:, i] ** 2
-    table.setflags(write=False)
-    return SquareTable(n, table, simple, "eigenbasis")
 
 
 def square_table(A: SymmetricMatrix, cluster_tol: float | None = None) -> SquareTable:

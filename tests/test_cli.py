@@ -73,6 +73,19 @@ def test_det_check_passes(matrix_file, capsys):
     assert json.loads(out)["pass"] is True
 
 
+def test_det_check_at_extreme_scale(matrix_file, capsys):
+    # det(A - lam*I) overflows near 1e160; the identity must still hold,
+    # reported as standard JSON (NaN or Infinity would be rejected here).
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    a = matrix_file("a.txt", "2\n3e160 1e160\n1e160 -2e160\n")
+    code, out = run(capsys, "det-check", a, "--x", "ones", "--t", "-0.5")
+    payload = json.loads(out, parse_constant=reject)
+    assert code == 0
+    assert payload["pass"] is True
+
+
 def test_gm_verify_self(matrix_file, capsys):
     a = matrix_file("a.txt", P3)
     code, out = run(capsys, "gm-verify", a, a)

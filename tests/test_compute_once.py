@@ -1,9 +1,9 @@
 """Each n x n decomposition is computed once per operation.
 
-Both solvers are wrapped: ``eigh`` in every module namespace that binds it,
-and the stacked kernel ``core._jacobi`` that ``deck`` and ``eigh_stack`` run.
-Solved matrices are counted by their entries, so deck cards (copies of A with
-one row and column zeroed) do not count as A.
+Every solve goes through the kernel ``core._jacobi`` (``eigh``, ``deck`` and
+``eigh_stack`` all call it), so only the kernel is wrapped. Solved matrices
+are counted by their entries, so deck cards (zero-padded submatrices of A)
+do not count as A.
 """
 
 import numpy as np
@@ -15,18 +15,12 @@ from eigenrecon import core, squares, verify
 @pytest.fixture
 def solved(monkeypatch):
     matrices = []
-    original_eigh, original_jacobi = core.eigh, core._jacobi
+    original = core._jacobi
 
-    def counting_eigh(A, *args, **kwargs):
-        matrices.append(A.entries.copy())
-        return original_eigh(A, *args, **kwargs)
-
-    def counting_jacobi(stack, *args, **kwargs):
+    def counting_jacobi(stack):
         matrices.extend(stack.copy())
-        return original_jacobi(stack, *args, **kwargs)
+        return original(stack)
 
-    for module in (core, squares, verify):
-        monkeypatch.setattr(module, "eigh", counting_eigh, raising=False)
     monkeypatch.setattr(core, "_jacobi", counting_jacobi)
     return lambda target: sum(np.array_equal(m, target) for m in matrices)
 

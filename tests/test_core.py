@@ -196,23 +196,6 @@ class TestStackedJacobi:
         for M, basis in zip(matrices, core.eigh_stack(matrices), strict=True):
             assert same_basis(basis, core.eigh(M))
 
-    def test_deck_cards_use_eigh_thresholds(self, monkeypatch):
-        # The norm of a zero-padded card can round differently from the norm
-        # of the deleted submatrix that eigh sees; here it does for card 0.
-        A = random_symmetric(np.random.default_rng(0), 8)
-        seen = []
-        original = core._jacobi
-
-        def recording(stack, thresh):
-            seen.append(thresh)
-            return original(stack, thresh)
-
-        monkeypatch.setattr(core, "_jacobi", recording)
-        core.deck(A)
-        expected = [core._threshold(A.entries)]
-        expected += [core._threshold(A.delete(m).entries) for m in range(A.n)]
-        assert seen[0].tobytes() == np.array(expected).tobytes()
-
     def test_signed_zero_entries_survive(self):
         A = core.SymmetricMatrix.from_array(
             [[-0.0, -0.0, 1.0], [-0.0, -0.0, 2.0], [1.0, 2.0, -0.0]])
@@ -220,6 +203,88 @@ class TestStackedJacobi:
         cards = core.deck(A)
         assert cards.card_spectra[2].values.tobytes() == \
             core.eigh(A.delete(2)).spectrum.values.tobytes()
+
+
+def star(leaves):
+    a = np.zeros((leaves + 1, leaves + 1))
+    a[0, 1:] = a[1:, 0] = 1.0
+    return a
+
+
+def complete_bipartite(p, q):
+    a = np.zeros((p + q, p + q))
+    a[:p, p:] = a[p:, :p] = 1.0
+    return a
+
+
+def low_rank(n, rank, seed):
+    x = np.random.default_rng(seed).normal(size=(n, rank))
+    return x @ x.T
+
+
+def graded_positive_definite(n, seed):
+    """D B D with B well conditioned and D graded from 1 to 1e-14."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    b = q @ np.diag(rng.uniform(1.0, 3.0, n)) @ q.T
+    d = 10.0 ** (-14.0 * np.arange(n) / (n - 1))
+    return d[:, None] * b * d[None, :]
+
+
+HIGH_NULLITY = {
+    "star_1_20": star(20),
+    "star_1_31": star(31),
+    "rank1_32": low_rank(32, 1, 0),
+    "rank3_32": low_rank(32, 3, 1),
+    "bipartite_5_7": complete_bipartite(5, 7),
+}
+
+
+class TestJacobiKernel:
+    """XOR rounds with the relative rotation rule."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_graded_positive_definite_relative_accuracy(self, seed):
+        # Demmel-Veselic: every eigenvalue to high relative accuracy, down to
+        # about 1e-28 here, which an absolute threshold cannot give.
+        import mpmath
+
+        A = core.SymmetricMatrix.from_array(graded_positive_definite(8, seed))
+        values = core.eigh(A).spectrum.values
+        with mpmath.workdps(60):
+            exact = mpmath.eigsy(mpmath.matrix(A.entries.tolist()), eigvals_only=True)
+            exact = np.sort(np.array([float(v) for v in exact]))[::-1]
+        assert np.max(np.abs(values - exact) / exact) <= 1e-14
+
+    @pytest.mark.parametrize("name", HIGH_NULLITY)
+    def test_high_nullity_converges(self, name):
+        # Many exact zero eigenvalues: the tiny floor must end the sweeps.
+        A = core.SymmetricMatrix.from_array(HIGH_NULLITY[name])
+        values = core.eigh(A).spectrum.values
+        expected = np.linalg.eigvalsh(A.entries)[::-1]
+        assert np.max(np.abs(values - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_deck_cards_match_eigh_every_n(self, n):
+        # Cards sit zero-padded at the end of the stack; both parities of n
+        # and of n - 1 must rotate exactly as the unpadded submatrix does.
+        for entries in hard_matrices(n, 43).values():
+            A = core.SymmetricMatrix.from_array(entries)
+            for m, card in enumerate(core.deck(A).card_spectra):
+                direct = core.eigh(A.delete(m)).spectrum
+                assert card.values.tobytes() == direct.values.tobytes()
+
+    def test_mixed_convergence_stack_matches_one_at_a_time(self):
+        # One sweep for the diagonal member, a dozen for the star: members
+        # drop out of some rounds while others still rotate.
+        n = 12
+        members = [np.diag(np.arange(n, dtype=float)),
+                   random_symmetric(np.random.default_rng(3), n).entries,
+                   low_rank(n, 1, 4), star(n - 1), complete_bipartite(5, 7),
+                   graded_positive_definite(n, 5), np.zeros((n, n))]
+        matrices = [core.SymmetricMatrix.from_array(m) for m in members]
+        for M, basis in zip(matrices, core.eigh_stack(matrices), strict=True):
+            assert same_basis(basis, core.eigh(M))
 
 
 EXTREME_SCALES = [1e-170, 1e154, 1e200, 1e300]

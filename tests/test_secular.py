@@ -25,7 +25,7 @@ class TestBuildSecular:
         basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([2.0, 0.0])))
         sys = secular.build_secular(basis, np.array([1.0, 0.0]), -1.0)
         np.testing.assert_allclose(sys.q, [1.0, 0.0])
-        assert sys.n_roots == 1
+        assert len(sys.active) == 1
         assert sys.active_poles[0] == pytest.approx(2.0)
 
     def test_zero_matrix_single_cluster(self):
@@ -33,7 +33,7 @@ class TestBuildSecular:
         sys = secular.build_secular(basis, np.array([1.0, 1.0]), 1.0)
         assert len(sys.poles) == 1
         assert sys.weights[0] == pytest.approx(2.0)
-        assert sys.n_roots == 1
+        assert len(sys.active) == 1
 
     def test_orthogonal_cluster_deflated(self):
         basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([2.0, 0.0])))

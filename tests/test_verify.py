@@ -259,7 +259,9 @@ class TestProbePermutation:
                 sign = min(best, key=lambda s: (best[s], -s))
                 probe = verify.probe_permutation_conjecture(A, B, i)
                 assert probe.found == (best[sign] <= 1e-8)
-                assert probe.min_distance == best[sign]
+                # Tied entries can give another optimal permutation whose
+                # float norm differs in the last bit.
+                assert abs(probe.min_distance - best[sign]) <= 2 * np.spacing(best[sign])
                 if probe.found:
                     assert probe.sign == sign
                     tp = p[list(probe.permutation)]
