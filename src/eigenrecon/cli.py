@@ -49,7 +49,7 @@ def _spectrum_dict(spec: core.Spectrum) -> dict:
 
 
 def cmd_eig(args) -> int:
-    basis = core.eigh(_read_matrix(args.matrix), args.cluster_tol)
+    basis = core.eigh(_read_matrix(args.matrix))
     payload = {
         "eigenvalues": _spectrum_dict(basis.spectrum),
         "vectors": [list(col) for col in basis.vectors.T],
@@ -59,14 +59,14 @@ def cmd_eig(args) -> int:
 
 
 def cmd_deck(args) -> int:
-    cards = core.deck(_read_matrix(args.matrix), args.cluster_tol)
+    cards = core.deck(_read_matrix(args.matrix))
     payload = {"cards": [_spectrum_dict(c) for c in cards.card_spectra]}
     print(json.dumps(payload))
     return EXIT_PASS
 
 
 def cmd_squares(args) -> int:
-    table = squares.square_table(_read_matrix(args.matrix), args.cluster_tol)
+    table = squares.square_table(_read_matrix(args.matrix))
     print(table.to_json())
     for w in table.warnings:
         print(f"warning: {w.code} in column {w.index}: {w.value:.12g}",
@@ -77,7 +77,7 @@ def cmd_squares(args) -> int:
 def cmd_rank1(args) -> int:
     A = _read_matrix(args.matrix)
     x = _read_x(args.x, A.n)
-    basis = core.eigh(A, args.cluster_tol)
+    basis = core.eigh(A)
     result = secular.rank1_update(basis, x, args.t)
     warned = {w.index for w in result.warnings}
     eigenvalues = []
@@ -97,7 +97,7 @@ def cmd_rank1(args) -> int:
 def cmd_det_check(args) -> int:
     A = _read_matrix(args.matrix)
     x = _read_x(args.x, A.n)
-    basis = core.eigh(A, args.cluster_tol)
+    basis = core.eigh(A)
     report = secular.verify_det_identity(basis, x, args.t,
                                          probes=args.probes, seed=args.seed)
     passed = report.max_rel_dev <= args.tol
@@ -164,30 +164,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "and secular rank-one updates.")
     sub = parser.add_subparsers(required=True)
 
-    def add_cluster_tol(p):
-        p.add_argument("--cluster-tol", type=float, default=None)
-
     p = sub.add_parser("eig", help="eigendecomposition of a matrix file")
     p.add_argument("matrix")
-    add_cluster_tol(p)
     p.set_defaults(func=cmd_eig)
 
     p = sub.add_parser("deck", help="spectra of all vertex-deleted submatrices")
     p.add_argument("matrix")
-    add_cluster_tol(p)
     p.set_defaults(func=cmd_deck)
 
     p = sub.add_parser("squares",
                        help="squared eigenvector entries from the deck")
     p.add_argument("matrix")
-    add_cluster_tol(p)
     p.set_defaults(func=cmd_squares)
 
     p = sub.add_parser("rank1", help="eigen of A + t*x*x^T via secular roots")
     p.add_argument("matrix")
     p.add_argument("--x", required=True, help="vector file path, or 'ones'")
     p.add_argument("--t", type=float, required=True)
-    add_cluster_tol(p)
     p.set_defaults(func=cmd_rank1)
 
     p = sub.add_parser("det-check",
@@ -198,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probes", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
-    add_cluster_tol(p)
     p.set_defaults(func=cmd_det_check)
 
     p = sub.add_parser("gm-verify",

@@ -55,12 +55,11 @@ class SymmetricMatrix:
         peak = float(np.max(np.abs(m)))  # NaN or inf exactly when an entry is
         if not np.isfinite(peak):
             raise ValueError("matrix entries must be finite")
-        scale = max(1.0, peak)
         asym = float(np.max(np.abs(m - m.T)))
-        if asym > SYM_TOL * scale:
+        if asym > SYM_TOL * peak:
             raise ValueError(
                 f"input is not symmetric: max |M - M^T| = {asym:.3e} "
-                f"exceeds {SYM_TOL:.1e} * {scale:.3e}"
+                f"exceeds {SYM_TOL:.1e} * {peak:.3e}"
             )
         sym = (m + m.T) / 2.0
         sym.setflags(write=False)
@@ -79,13 +78,12 @@ class Spectrum:
     """Eigenvalues sorted descending with multiplicity clusters.
 
     ``clusters`` partitions 0..n-1 into maximal runs of eigenvalues pairwise
-    closer than ``cluster_tol``; a singleton cluster marks a numerically
-    simple eigenvalue.
+    closer than ``default_cluster_tol(values)``; a singleton cluster marks a
+    numerically simple eigenvalue.
     """
 
     values: np.ndarray
     clusters: tuple[tuple[int, ...], ...]
-    cluster_tol: float
 
     def __len__(self) -> int:
         return len(self.values)
@@ -95,47 +93,40 @@ class Spectrum:
         return float(self.values[0] - self.values[-1])
 
     def is_simple(self, i: int) -> bool:
-        return len(self.cluster_of(i)) == 1
-
-    def cluster_of(self, i: int) -> tuple[int, ...]:
-        for c in self.clusters:
-            if i in c:
-                return c
-        raise IndexError(f"index {i} out of range")
+        if not 0 <= i < len(self):
+            raise IndexError(f"index {i} out of range")
+        return (i,) in self.clusters
 
 
 def default_cluster_tol(values) -> float:
-    values = np.asarray(values, dtype=float)
-    spread = float(values[0] - values[-1]) if len(values) > 1 else 0.0
-    return max(1e-12, 1e-8 * spread)
+    """max(1e-12 * max|lambda|, 1e-8 * spread), relative to the values."""
+    spread = float(values[0] - values[-1])
+    return max(1e-12 * float(np.max(np.abs(values))), 1e-8 * spread)
 
 
-def cluster_spectrum(values, cluster_tol: float | None = None) -> Spectrum:
+def cluster_spectrum(values) -> Spectrum:
     """Group descending eigenvalues into maximal near-degenerate clusters.
 
-    A new cluster starts whenever the gap to the previous eigenvalue exceeds
-    ``cluster_tol``, so within a cluster max - min can only stay below the
-    tolerance when gaps accumulate slowly; the maximality invariant (adjacent
-    clusters separated by more than the tolerance) always holds.
+    A new cluster starts whenever the gap to the previous eigenvalue, or to
+    the first of the current cluster, exceeds ``default_cluster_tol``, so no
+    cluster is wider than the tolerance and adjacent clusters are separated
+    by more than it.
     """
     vals = np.asarray(values, dtype=float).copy()
     if len(vals) == 0:
         raise ValueError("empty spectrum")
     if np.any(np.diff(vals) > 0):
         raise ValueError("eigenvalues must be sorted descending")
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(vals)
-    if not cluster_tol >= 0:  # also rejects NaN
-        raise ValueError(f"cluster_tol must be nonnegative, got {cluster_tol}")
+    tol = default_cluster_tol(vals)
     clusters: list[tuple[int, ...]] = []
     start = 0
     for k in range(1, len(vals)):
-        if vals[k - 1] - vals[k] > cluster_tol or vals[start] - vals[k] > cluster_tol:
+        if vals[k - 1] - vals[k] > tol or vals[start] - vals[k] > tol:
             clusters.append(tuple(range(start, k)))
             start = k
     clusters.append(tuple(range(start, len(vals))))
     vals.setflags(write=False)
-    return Spectrum(vals, tuple(clusters), cluster_tol)
+    return Spectrum(vals, tuple(clusters))
 
 
 @dataclass(frozen=True)
@@ -161,15 +152,14 @@ def canonical_column_signs(vectors: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.where(lead < 0, -vectors, vectors))
 
 
-def _basis(a: np.ndarray, p: np.ndarray,
-           cluster_tol: float | None) -> EigenBasis:
+def _basis(a: np.ndarray, p: np.ndarray) -> EigenBasis:
     """Sorted spectrum and sign-fixed vectors of a diagonalised matrix a = P^T A P."""
     diag = np.diag(a).copy()
     order = np.argsort(-diag, kind="stable")
     values = diag[order]
     vectors = canonical_column_signs(p[:, order])
     vectors.setflags(write=False)
-    return EigenBasis(cluster_spectrum(values, cluster_tol), vectors)
+    return EigenBasis(cluster_spectrum(values), vectors)
 
 
 def _rounds(n: int) -> list[tuple[np.ndarray, ...]]:
@@ -203,19 +193,24 @@ def _jacobi(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     such pair in a round is not touched, and its other pairs get c = 1,
     s = 0, so each result is bit-identical to solving that matrix alone. A
     pair's round depends only on i XOR j, so a matrix padded with zero rows
-    and columns at the end rotates exactly like the unpadded one. Sweeps
-    stop once no matrix rotated; ConvergenceError after JACOBI_MAX_SWEEPS.
-    Returns the rotated stack and the accumulated rotations, both (b, n, n).
+    and columns at the end rotates exactly like the unpadded one. Each
+    matrix is first scaled by an even power of two that brings max|a| into
+    [0.5, 2): that is exact, also under the square roots, so the rotations
+    and the tiny floor do not depend on the matrix's scale. Sweeps stop once
+    no matrix rotated; ConvergenceError after JACOBI_MAX_SWEEPS. Returns the
+    rotated stack and the accumulated rotations, both (b, n, n).
     """
     b, n, _ = stack.shape
+    e = (np.frexp(np.max(np.abs(stack), axis=(1, 2)))[1] & ~1)[:, None, None]
     # a on top of p, so one column rotation updates both.
-    work = np.concatenate([stack, np.broadcast_to(np.eye(n), (b, n, n))], axis=1)
+    work = np.concatenate([np.ldexp(stack, -e),
+                           np.broadcast_to(np.eye(n), (b, n, n))], axis=1)
     rounds = _rounds(n)
     k = np.arange(n)
     rotated = n > 1
     sweeps = 0
-    # theta overflows to inf at extreme scales, which gives t = 0; pairs
-    # that do not rotate may divide by zero, and get c = 1, s = 0.
+    # theta overflows to inf when a_ij is tiny beside a_jj - a_ii, giving
+    # t = 0; pairs that do not rotate may divide by zero: c = 1, s = 0.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while rotated:
             if sweeps >= JACOBI_MAX_SWEEPS:
@@ -257,10 +252,10 @@ def _jacobi(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 if w is not work:
                     work[r] = w
             sweeps += 1
-    return work[:, :n], work[:, n:]
+    return np.ldexp(work[:, :n], e), work[:, n:]
 
 
-def eigh(A: SymmetricMatrix, cluster_tol: float | None = None) -> EigenBasis:
+def eigh(A: SymmetricMatrix) -> EigenBasis:
     """Full eigendecomposition by cyclic Jacobi rotations (``_jacobi``).
 
     Deterministic for identical input, with relative accuracy on graded
@@ -268,7 +263,7 @@ def eigh(A: SymmetricMatrix, cluster_tol: float | None = None) -> EigenBasis:
     (never seen on sane input).
     """
     a, p = _jacobi(A.entries[None])
-    return _basis(a[0], p[0], cluster_tol)
+    return _basis(a[0], p[0])
 
 
 def eigh_stack(matrices) -> list[EigenBasis]:
@@ -277,7 +272,7 @@ def eigh_stack(matrices) -> list[EigenBasis]:
     Each result is bit-identical to ``eigh`` of that matrix alone.
     """
     a, p = _jacobi(np.stack([M.entries for M in matrices]))
-    return [_basis(a[r], p[r], None) for r in range(len(a))]
+    return [_basis(a[r], p[r]) for r in range(len(a))]
 
 
 @dataclass(frozen=True)
@@ -296,16 +291,17 @@ class SpectralDeck:
 
 
 def check_interlacing(parent: Spectrum, card: Spectrum) -> bool:
-    """Cauchy interlacing lambda_k(A) >= lambda_k(A_m) >= lambda_{k+1}(A)."""
+    """lambda_k(A) >= lambda_k(A_m) >= lambda_{k+1}(A) (Cauchy interlacing),
+    each up to INTERLACE_SLACK * max|lambda(A)|."""
     lam = parent.values
     mu = card.values
     if len(mu) != len(lam) - 1:
         raise ValueError("card must have length n-1")
-    return bool(np.all(lam[:-1] + INTERLACE_SLACK >= mu)
-                and np.all(mu + INTERLACE_SLACK >= lam[1:]))
+    slack = INTERLACE_SLACK * float(np.max(np.abs(lam)))
+    return bool(np.all(lam[:-1] + slack >= mu) and np.all(mu + slack >= lam[1:]))
 
 
-def deck(A: SymmetricMatrix, cluster_tol: float | None = None) -> SpectralDeck:
+def deck(A: SymmetricMatrix) -> SpectralDeck:
     """Spectra of all n one-vertex-deleted submatrices, in index order.
 
     Each card is checked against the parent spectrum for Cauchy interlacing;
@@ -322,11 +318,11 @@ def deck(A: SymmetricMatrix, cluster_tol: float | None = None) -> SpectralDeck:
     stack[0] = A.entries
     stack[1:, :-1, :-1] = A.entries[keep[:, :, None], keep[:, None, :]]
     a, p = _jacobi(stack)
-    parent = _basis(a[0], p[0], cluster_tol)
+    parent = _basis(a[0], p[0])
     cards = []
     for m in range(n):
         diag = np.diag(a[m + 1])[:-1]
-        card = cluster_spectrum(diag[np.argsort(-diag, kind="stable")], cluster_tol)
+        card = cluster_spectrum(diag[np.argsort(-diag, kind="stable")])
         if not check_interlacing(parent.spectrum, card):
             raise ConvergenceError(f"deck card {m} violates Cauchy interlacing")
         cards.append(card)

@@ -50,6 +50,11 @@ class SecularSystem:
     active_poles: np.ndarray
     active_weights: np.ndarray
 
+    @property
+    def cap(self) -> float:
+        """|t| * sum of active weights + spread: how far roots reach from the poles."""
+        return abs(self.t) * float(np.sum(self.active_weights)) + self.lambdas.spread
+
 
 def build_secular(basis: EigenBasis, x, t: float) -> SecularSystem:
     """Project x onto the eigenbasis and aggregate weights per cluster.
@@ -93,16 +98,16 @@ def build_secular(basis: EigenBasis, x, t: float) -> SecularSystem:
 def secular_eval(sys: SecularSystem, lam: float) -> float:
     """P_t(lam) = 1 + sum over active clusters of t*w_k/(pole_k - lam)."""
     poles = sys.active_poles
-    if len(poles) and np.min(np.abs(poles - lam)) < 1e-300:
+    if np.any(poles == lam):
         raise ZeroDivisionError(f"evaluation at active pole lambda={lam}")
     return float(1.0 + np.sum(sys.t * sys.active_weights / (poles - lam)))
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float) -> float:
+def _bisect(f, lo: float, hi: float, f_lo: float, unit: float) -> float:
     # f_lo carries the sign of f at lo; f is monotone on (lo, hi).
     for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= ROOT_WIDTH_TOL * max(1.0, abs(mid)) or mid in (lo, hi):
+        if hi - lo <= ROOT_WIDTH_TOL * max(unit, abs(mid)) or mid in (lo, hi):
             return mid
         f_mid = f(mid)
         if f_mid == 0.0:
@@ -114,21 +119,23 @@ def _bisect(f, lo: float, hi: float, f_lo: float) -> float:
     raise BracketError("bisection failed to converge within iteration cap")
 
 
-def _open_at_pole(f, pole: float, side: int,
-                  limit: float) -> tuple[float, float]:
+def _open_at_pole(f, pole: float, side: int, limit: float,
+                  unit: float) -> tuple[float, float]:
     # f has a negative scale, so it diverges to +inf above each pole and to
     # -inf below it. Step off the pole toward `limit` until the evaluated
-    # sign matches; the first offset almost always suffices. Once the offset
+    # sign matches, halving the offset while the point is at or past
+    # `limit`; the first offset almost always suffices. Once the offset
     # falls below half the float spacing at the pole, pole + off rounds back
     # to the pole and no bracket is left to open.
-    off = POLE_OFFSET_SCALE * max(1.0, abs(pole))
+    off = POLE_OFFSET_SCALE * max(unit, abs(pole))
     for _ in range(80):
         point = pole + side * off
-        if point == pole or (point >= limit if side > 0 else point <= limit):
+        if point == pole:
             break
-        value = f(point)
-        if value == 0.0 or (value > 0.0) == (side > 0):
-            return point, value
+        if point < limit if side > 0 else point > limit:
+            value = f(point)
+            if value == 0.0 or (value > 0.0) == (side > 0):
+                return point, value
         off *= 0.5
     raise BracketError(f"could not open a bracket at pole y = {pole}")
 
@@ -143,7 +150,9 @@ def secular_roots(sys: SecularSystem) -> np.ndarray:
     Each root is found by bisection on a sign-change bracket, so monotonicity
     of P_t on the bracket guarantees uniqueness. Negation is exact in IEEE
     arithmetic, so the t > 0 brackets, midpoints and evaluations are the
-    exact mirror images of a direct search above the poles. BracketError
+    exact mirror images of a direct search above the poles. Widths and
+    offsets are relative to max(|y|, min(1, cap)), with ``cap`` the reach of
+    the roots, so they scale with the system below unit scale. BracketError
     messages name poles and roots (counted descending) in y.
     """
     if sys.t == 0.0:
@@ -156,22 +165,22 @@ def secular_roots(sys: SecularSystem) -> np.ndarray:
     def f(y: float) -> float:
         return secular_eval(sys, s * y)
 
-    cap = abs(sys.t) * float(np.sum(sys.active_weights)) + sys.lambdas.spread
+    unit = min(1.0, sys.cap)
     roots = []
     # One root in each (pole_{j+1}, pole_j), one in (-inf, pole_last).
     for j in range(len(poles)):
         hi, f_hi = _open_at_pole(
-            f, poles[j], -1, poles[j + 1] if j + 1 < len(poles) else -np.inf,
+            f, poles[j], -1, poles[j + 1] if j + 1 < len(poles) else -np.inf, unit,
         )
         if j + 1 < len(poles):
-            lo, f_lo = _open_at_pole(f, poles[j + 1], +1, poles[j])
+            lo, f_lo = _open_at_pole(f, poles[j + 1], +1, poles[j], unit)
         else:
-            lo = poles[-1] - cap
+            lo = poles[-1] - sys.cap
             f_lo = f(lo)
             for _ in range(80):
                 if f_lo > 0.0:
                     break
-                lo -= max(cap, 1.0)
+                lo -= sys.cap
                 f_lo = f(lo)
         if f_lo == 0.0:
             roots.append(lo)
@@ -181,7 +190,7 @@ def secular_roots(sys: SecularSystem) -> np.ndarray:
             continue
         if (f_lo > 0.0) == (f_hi > 0.0):
             raise BracketError(f"no sign change on bracket for root {j} in y")
-        roots.append(_bisect(f, lo, hi, f_lo))
+        roots.append(_bisect(f, lo, hi, f_lo, unit))
     if s < 0.0:
         roots.reverse()
     return s * np.array(roots)
@@ -214,8 +223,8 @@ def rank1_update(basis: EigenBasis, x, t: float) -> UpdateResult:
     Retained values are the eigenvalues of clusters deflated out of the
     active set, plus multiplicity - 1 copies inside each active cluster.
     Each root eigenvector is sum over active i of p_i * q_i / (lambda_i - mu),
-    normalized; a root landing within 1e-10 * spread of a retained value is
-    flagged near-degenerate but still emitted.
+    normalized; a root landing within 1e-10 * max(spread, min(1, cap)) of a
+    retained value is flagged near-degenerate but still emitted.
     """
     sys = build_secular(basis, x, t)
     spec = basis.spectrum
@@ -238,8 +247,10 @@ def rank1_update(basis: EigenBasis, x, t: float) -> UpdateResult:
         )
         q_active = sys.q[active_indices]
         p_active = basis.vectors[:, active_indices]
-        near_tol = NEAR_DEGENERATE_TOL * max(spec.spread, 1.0)
-        vs = [p_active @ (q_active / (pole_of - mu)) for mu in roots]
+        near_tol = NEAR_DEGENERATE_TOL * max(spec.spread, min(1.0, sys.cap))
+        coefs = [q_active / (pole_of - mu) for mu in roots]
+        # An exact power-of-two rescale keeps the norm in range.
+        vs = [p_active @ np.ldexp(c, -np.frexp(np.max(np.abs(c)))[1]) for c in coefs]
         vectors = canonical_column_signs(
             np.column_stack([v / np.linalg.norm(v) for v in vs]))
         for j, mu in enumerate(roots):

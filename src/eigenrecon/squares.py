@@ -109,9 +109,9 @@ def square_table_from_deck(spec: Spectrum, cards: SpectralDeck) -> SquareTable:
     return SquareTable(n, table, simple, "deck", tuple(warnings))
 
 
-def square_table(A: SymmetricMatrix, cluster_tol: float | None = None) -> SquareTable:
+def square_table(A: SymmetricMatrix) -> SquareTable:
     """Convenience: deck-route square table straight from a matrix."""
-    cards = deck(A, cluster_tol)
+    cards = deck(A)
     return square_table_from_deck(cards.parent.spectrum, cards)
 
 

@@ -179,8 +179,6 @@ def test_non_finite_vector_exits_2(matrix_file, capsys):
                  "t must be finite", id="det-check-t-nan"),
     pytest.param(["tmain", "{a}", "{a}", "--t-samples", "2,nan,0"],
                  "t_samples must be finite", id="tmain-t-samples-nan"),
-    pytest.param(["eig", "{a}", "--cluster-tol", "nan"],
-                 "cluster_tol must be nonnegative", id="eig-cluster-tol-nan"),
     pytest.param(["probe-tau", "{a}", "{a}", "--index", "9"],
                  "out of range", id="probe-tau-index-9"),
     pytest.param(["probe-tau", "{a}", "{a}", "--index", "-1"],
@@ -195,10 +193,6 @@ def test_non_finite_vector_exits_2(matrix_file, capsys):
                  "tol must be nonnegative", id="tmain-tol-minus-1"),
     pytest.param(["probe-tau", "{a}", "{a}", "--tol", "nan"],
                  "tol must be nonnegative", id="probe-tau-tol-nan"),
-    pytest.param(["rank1", "{a}", "--x", "ones", "--t", "-0.5", "--cluster-tol", "5"],
-                 "exact multiplicities", id="rank1-cluster-tol-5"),
-    pytest.param(["det-check", "{a}", "--x", "ones", "--t", "-0.5", "--cluster-tol", "5"],
-                 "exact multiplicities", id="det-check-cluster-tol-5"),
 ])
 def test_hostile_flag_exits_2(matrix_file, capsys, argv, message):
     a = matrix_file("a.txt", P3)
@@ -211,7 +205,7 @@ def test_hostile_flag_exits_2(matrix_file, capsys, argv, message):
 
 
 def test_squares_warnings_on_stderr(matrix_file, capsys, monkeypatch):
-    def inconsistent(A, cluster_tol=None):
+    def inconsistent(A):
         spec = core.cluster_spectrum([0.5, 0.0, -0.5])
         return squares.square_table_from_deck(spec, core.deck(A))
 
@@ -231,6 +225,13 @@ def test_squares_warnings_on_stderr(matrix_file, capsys, monkeypatch):
                  id="rank1-deflate-tol"),
     pytest.param(["gm-verify", "{a}", "{a}", "--cluster-tol", "5"],
                  id="gm-verify-cluster-tol"),
+    pytest.param(["eig", "{a}", "--cluster-tol", "5"], id="eig-cluster-tol"),
+    pytest.param(["deck", "{a}", "--cluster-tol", "5"], id="deck-cluster-tol"),
+    pytest.param(["squares", "{a}", "--cluster-tol", "5"], id="squares-cluster-tol"),
+    pytest.param(["rank1", "{a}", "--x", "ones", "--t", "-0.5", "--cluster-tol", "5"],
+                 id="rank1-cluster-tol"),
+    pytest.param(["det-check", "{a}", "--x", "ones", "--t", "-0.5",
+                  "--cluster-tol", "5"], id="det-check-cluster-tol"),
     pytest.param(["eig", "{a}", "--format", "text"], id="eig-format-text"),
 ])
 def test_removed_flag_exits_2(matrix_file, capsys, argv):

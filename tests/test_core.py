@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eigenrecon import core
+from eigenrecon import core, squares
 
 
 def random_symmetric(rng, n):
@@ -24,8 +24,10 @@ class TestParseMatrix:
         np.testing.assert_array_equal(A.entries, [[0, 1], [1, 0]])
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(core.MatrixFormatError, match="not symmetric"):
-            core.parse_matrix("2\n0 1\n0.5 0")
+        # The allowance scales with the entries, also below unit scale.
+        for text in ("2\n0 1\n0.5 0", "2\n0 1e-12\n0 0"):
+            with pytest.raises(core.MatrixFormatError, match="not symmetric"):
+                core.parse_matrix(text)
 
     def test_small_asymmetry_symmetrized(self):
         A = core.parse_matrix("2\n0 1\n1.000000001 0")
@@ -287,7 +289,7 @@ class TestJacobiKernel:
             assert same_basis(basis, core.eigh(M))
 
 
-EXTREME_SCALES = [1e-170, 1e154, 1e200, 1e300]
+EXTREME_SCALES = [1e-310, 1e-170, 1e154, 1e200, 1e300]
 
 
 def extreme_bases():
@@ -313,6 +315,46 @@ class TestExtremeScales:
         for m, card in enumerate(cards.card_spectra):
             self.assert_spectrum(card.values, A.delete(m).entries)
 
+    @pytest.mark.parametrize("scale", [1e8, 1e10, 1e100, 1e200, 1e300])
+    @pytest.mark.parametrize("name", ["K12", "K1_8", "C8"])
+    def test_graph_deck_interlaces(self, name, scale):
+        # Parent and card eigenvalues tie exactly in these graphs, so
+        # interlacing holds only up to rounding, which an absolute slack of
+        # 1e-8 stops covering near 1e8.
+        graph = {"K12": np.ones((12, 12)) - np.eye(12), "K1_8": star(8),
+                 "C8": np.roll(np.eye(8), 1, axis=1) + np.roll(np.eye(8), -1, axis=1)}
+        A = core.SymmetricMatrix.from_array(graph[name] * scale)
+        cards = core.deck(A)
+        for m, card in enumerate(cards.card_spectra):
+            self.assert_spectrum(card.values, A.delete(m).entries)
+
+
+def scaled_bytes(x, k) -> bytes:
+    return np.ldexp(x, k).tobytes()
+
+
+class TestScaleEquivariance:
+    """Scaling by 2^k, k even, scales every value by 2^k and changes nothing else."""
+
+    A = random_symmetric(np.random.default_rng(47), 8)
+
+    @pytest.mark.parametrize("k", [2, -2, 100, -100, 500, -500, 1000, -1000])
+    def test_eigh_deck_and_square_table(self, k):
+        scaled = core.SymmetricMatrix.from_array(np.ldexp(self.A.entries, k))
+        for got, want in ((core.eigh(scaled), core.eigh(self.A)),
+                          (core.deck(scaled).parent, core.deck(self.A).parent)):
+            assert got.spectrum.values.tobytes() == scaled_bytes(want.spectrum.values, k)
+            assert got.spectrum.clusters == want.spectrum.clusters
+            assert got.vectors.tobytes() == want.vectors.tobytes()
+        for got, want in zip(core.deck(scaled).card_spectra,
+                             core.deck(self.A).card_spectra, strict=True):
+            assert got.values.tobytes() == scaled_bytes(want.values, k)
+            assert got.clusters == want.clusters
+        got, want = squares.square_table(scaled), squares.square_table(self.A)
+        assert got.simple == want.simple
+        assert got.table.tobytes() == want.table.tobytes()
+        assert got.warnings == want.warnings
+
 
 class TestCharPoly:
     def test_examples(self):
@@ -333,17 +375,17 @@ class TestCharPoly:
 
 class TestClusterSpectrum:
     def test_repeated_middle(self):
-        spec = core.cluster_spectrum([2, 1, 1, 0], cluster_tol=1e-8)
+        spec = core.cluster_spectrum([2, 1, 1, 0])
         assert spec.clusters == ((0,), (1, 2), (3,))
         assert not spec.is_simple(1)
         assert spec.is_simple(0)
 
     def test_single_value(self):
-        spec = core.cluster_spectrum([5.0], cluster_tol=1.0)
+        spec = core.cluster_spectrum([5.0])
         assert spec.clusters == ((0,),)
 
     def test_near_tie_merges(self):
-        spec = core.cluster_spectrum([1.0, 1.0 - 5e-9, 0.0], cluster_tol=1e-8)
+        spec = core.cluster_spectrum([1.0, 1.0 - 5e-9, 0.0])
         assert spec.clusters == ((0, 1), (2,))
 
     def test_unsorted_rejected(self):
@@ -351,10 +393,12 @@ class TestClusterSpectrum:
             core.cluster_spectrum([0.0, 1.0])
 
     def test_cluster_width_and_gaps(self):
-        rng = np.random.default_rng(31)
-        vals = np.sort(rng.uniform(-1, 1, 20))[::-1]
-        tol = 0.05
-        spec = core.cluster_spectrum(vals, cluster_tol=tol)
+        # Every gap in the chain is below the tolerance (1e-8 * spread), so
+        # only the width rule splits it.
+        vals = np.append(1.0 - 4e-9 * np.arange(20), 0.0)
+        tol = core.default_cluster_tol(vals)
+        spec = core.cluster_spectrum(vals)
         for c in spec.clusters:
             assert vals[c[0]] - vals[c[-1]] <= tol
-        assert sorted(i for c in spec.clusters for i in c) == list(range(20))
+        assert len(spec.clusters) > 2
+        assert sorted(i for c in spec.clusters for i in c) == list(range(21))

@@ -49,6 +49,14 @@ class TestBuildSecular:
         with pytest.raises(ValueError, match="shape"):
             secular.build_secular(swap_basis(), np.ones(3), 1.0)
 
+    def test_cluster_wider_than_default_rejected(self):
+        # Only a hand-built Spectrum can hold such a cluster: the solver
+        # would merge the distinct eigenvalues 1 and 0.5 into one pole.
+        spec = core.Spectrum(np.array([1.0, 0.5, 0.0]), ((0, 1), (2,)))
+        basis = core.EigenBasis(spec, np.eye(3))
+        with pytest.raises(ValueError, match="exact multiplicities"):
+            secular.build_secular(basis, np.ones(3), -0.5)
+
 
 class TestSecularEval:
     def test_t_zero_constant_one(self):
@@ -227,6 +235,37 @@ class TestRank1Update:
         basis = core.eigh(core.SymmetricMatrix.from_array(1e6 * A.entries))
         with pytest.raises(secular.BracketError, match="could not open a bracket"):
             secular.rank1_update(basis, x, 1e-6)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_extreme_scales_match_numpy(self, scale, n, sign):
+        # Root tolerances scale with the system, and the eigenvector norm
+        # neither under- nor overflows.
+        A, x = random_instance(np.random.default_rng(100 + n), n)
+        A = core.SymmetricMatrix.from_array(A.entries * scale)
+        t = sign * 0.3 * scale
+        r = secular.rank1_update(core.eigh(A), x, t)
+        M = A.entries + t * np.outer(x, x)
+        expected = np.linalg.eigvalsh(M)[::-1]
+        peak = np.max(np.abs(expected))
+        assert np.max(np.abs(r.values - expected)) <= 1e-12 * peak
+        bound = 1e-8 * (n * np.max(np.abs(A.entries)) + abs(t) * x @ x) / scale
+        for val, v in zip(r.values, r.vectors):
+            if v is not None:
+                assert np.linalg.norm((M @ v - val * v) / scale) <= bound
+
+    def test_poles_closer_than_first_offset(self):
+        # |t| * ||x||^2 dwarfs the spectrum, so the first pole offset (1e-13)
+        # reaches the next pole; the offset must shrink, and the three
+        # distinct eigenvalues must stay three poles with a root below each.
+        poles = np.array([3e-13, 2e-13, 0.0])
+        basis = core.eigh(core.SymmetricMatrix.from_array(np.diag(poles)))
+        r = secular.rank1_update(basis, np.ones(3), -1.0)
+        assert [kind for kind, _ in r.origins] == ["root"] * 3
+        assert np.all(r.values < poles) and np.all(r.values[:-1] > poles[1:])
+        expected = np.linalg.eigvalsh(np.diag(poles) - np.ones((3, 3)))[::-1]
+        assert np.max(np.abs(r.values - expected)) <= 1e-12 * 3.0
 
     def test_t_zero_identity(self):
         basis = swap_basis()

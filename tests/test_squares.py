@@ -48,7 +48,7 @@ class TestReconstructSquare:
         assert squares.reconstruct_square(spec, card, 0) == pytest.approx(0.25)
 
     def test_not_simple_refused(self):
-        spec = core.cluster_spectrum([1.0, 1.0, 0.0], cluster_tol=1e-8)
+        spec = core.cluster_spectrum([1.0, 1.0, 0.0])
         card = core.cluster_spectrum([1.0, 0.5])
         with pytest.raises(squares.NotSimpleError):
             squares.reconstruct_square(spec, card, 0)
