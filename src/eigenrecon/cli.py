@@ -4,9 +4,11 @@ One subcommand per library operation; matrix and vector inputs use the
 plain-text format (comment lines starting with '#', dimension, then entries
 row-major). Each report is one line of JSON on stdout, the only output
 format; diagnostics go to stderr. Exit codes: 0 pass, 1 check failure,
-2 input error (including a NaN or negative ``--tol``), 3 solver failure
-(a Jacobi sweep or secular root bracket that did not converge). Codes 2 and 3
-print one ``error:`` line on stderr and nothing on stdout.
+2 input error, 3 solver failure (a Jacobi sweep or secular root bracket that
+did not converge). Codes 2 and 3 print one ``error:`` line on stderr and
+nothing on stdout. The checks take no tolerance or sampling flags: every
+threshold and probe point is derived from the input, and each report's
+``tol`` key gives the threshold it applied.
 """
 
 from __future__ import annotations
@@ -42,10 +44,7 @@ def _read_x(spec: str, n: int) -> np.ndarray:
 
 
 def _spectrum_dict(spec: core.Spectrum) -> dict:
-    return {
-        "values": list(spec.values),
-        "clusters": [list(c) for c in spec.clusters],
-    }
+    return {"values": list(spec.values), "clusters": [list(c) for c in spec.clusters]}
 
 
 def cmd_eig(args) -> int:
@@ -76,9 +75,7 @@ def cmd_squares(args) -> int:
 
 def cmd_rank1(args) -> int:
     A = _read_matrix(args.matrix)
-    x = _read_x(args.x, A.n)
-    basis = core.eigh(A)
-    result = secular.rank1_update(basis, x, args.t)
+    result = secular.rank1_update(core.eigh(A), _read_x(args.x, A.n), args.t)
     warned = {w.index for w in result.warnings}
     eigenvalues = []
     for value, (kind, idx) in zip(result.values, result.origins):
@@ -96,26 +93,22 @@ def cmd_rank1(args) -> int:
 
 def cmd_det_check(args) -> int:
     A = _read_matrix(args.matrix)
-    x = _read_x(args.x, A.n)
-    basis = core.eigh(A)
-    report = secular.verify_det_identity(basis, x, args.t,
-                                         probes=args.probes, seed=args.seed)
-    passed = report.max_rel_dev <= args.tol
+    report = secular.verify_det_identity(A, _read_x(args.x, A.n), args.t)
     payload = {
-        "pass": passed,
-        "tol": args.tol,
+        "pass": report.passed,
+        "tol": secular.DET_TOL,
         "max_rel_dev": report.max_rel_dev,
         "probes": list(report.probes),
         "deviations": list(report.deviations),
     }
     print(json.dumps(payload))
-    return EXIT_PASS if passed else EXIT_FAIL
+    return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def cmd_gm_verify(args) -> int:
     report = verify.verify_gm(_read_matrix(args.matrix_a),
                               _read_matrix(args.matrix_b),
-                              tol=args.tol, multiset_deck=args.multiset_deck)
+                              multiset_deck=args.multiset_deck)
     print(json.dumps(report.to_dict()))
     return EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -134,14 +127,13 @@ def _parse_t_samples(spec: str):
 
 
 def cmd_tmain(args) -> int:
-    t_samples = args.t_samples or verify.DEFAULT_T_SAMPLES
-    records = verify.verify_theorem_main(_read_matrix(args.matrix_a),
-                                         _read_matrix(args.matrix_b),
-                                         t_samples)
-    passed = all(r.passes(args.tol) for r in records)
+    A, B = _read_matrix(args.matrix_a), _read_matrix(args.matrix_b)
+    records = verify.verify_theorem_main(A, B, args.t_samples)
+    tol = verify.value_tol(A, B)
+    passed = all(r.passes(tol) for r in records)
     payload = {
         "pass": passed,
-        "tol": args.tol,
+        "tol": tol,
         "conclusive": sum(r.conclusive for r in records),
         "samples": [r.to_dict() for r in records],
     }
@@ -151,8 +143,7 @@ def cmd_tmain(args) -> int:
 
 def cmd_probe_tau(args) -> int:
     probe = verify.probe_permutation_conjecture(
-        _read_matrix(args.matrix_a), _read_matrix(args.matrix_b),
-        args.index, tol=args.tol)
+        _read_matrix(args.matrix_a), _read_matrix(args.matrix_b), args.index)
     print(json.dumps(probe.to_dict()))
     return EXIT_PASS if probe.found else EXIT_FAIL
 
@@ -164,70 +155,43 @@ def build_parser() -> argparse.ArgumentParser:
                     "and secular rank-one updates.")
     sub = parser.add_subparsers(required=True)
 
-    p = sub.add_parser("eig", help="eigendecomposition of a matrix file")
-    p.add_argument("matrix")
-    p.set_defaults(func=cmd_eig)
+    def command(name, func, help, *positionals):
+        p = sub.add_parser(name, help=help)
+        for arg in positionals:
+            p.add_argument(arg)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("deck", help="spectra of all vertex-deleted submatrices")
-    p.add_argument("matrix")
-    p.set_defaults(func=cmd_deck)
-
-    p = sub.add_parser("squares",
-                       help="squared eigenvector entries from the deck")
-    p.add_argument("matrix")
-    p.set_defaults(func=cmd_squares)
-
-    p = sub.add_parser("rank1", help="eigen of A + t*x*x^T via secular roots")
-    p.add_argument("matrix")
-    p.add_argument("--x", required=True, help="vector file path, or 'ones'")
-    p.add_argument("--t", type=float, required=True)
-    p.set_defaults(func=cmd_rank1)
-
-    p = sub.add_parser("det-check",
-                       help="probe det(A+t*xx^T-lam*I) = det(A-lam*I)*P_t(lam)")
-    p.add_argument("matrix")
-    p.add_argument("--x", required=True, help="vector file path, or 'ones'")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--probes", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=cmd_det_check)
-
-    p = sub.add_parser("gm-verify",
-                       help="pairwise spectra/deck/squares/projection checks")
-    p.add_argument("matrix_a")
-    p.add_argument("matrix_b")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--multiset-deck", action="store_true",
-                   help="compare deck cards as an unordered collection")
-    p.set_defaults(func=cmd_gm_verify)
-
-    p = sub.add_parser("tmain",
-                       help="lowest eigenpair of A+tJ vs B+tJ over t samples")
-    p.add_argument("matrix_a")
-    p.add_argument("matrix_b")
-    p.add_argument("--t-samples", type=_parse_t_samples, default=None,
-                   metavar="COUNT,LO,HI")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(func=cmd_tmain)
-
-    p = sub.add_parser("probe-tau",
-                       help="best coordinate permutation between simple eigenvectors")
-    p.add_argument("matrix_a")
-    p.add_argument("matrix_b")
-    p.add_argument("--index", type=int, default=0,
-                   help="0-based eigenvalue index, must be simple in both")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(func=cmd_probe_tau)
-
+    command("eig", cmd_eig, "eigendecomposition of a matrix file", "matrix")
+    command("deck", cmd_deck, "spectra of all vertex-deleted submatrices", "matrix")
+    command("squares", cmd_squares, "squared eigenvector entries from the deck",
+            "matrix")
+    for name, func, help in [
+            ("rank1", cmd_rank1, "eigen of A + t*x*x^T via secular roots"),
+            ("det-check", cmd_det_check,
+             "probe det(A+t*xx^T-lam*I) = det(A-lam*I)*P_t(lam)")]:
+        p = command(name, func, help, "matrix")
+        p.add_argument("--x", required=True, help="vector file path, or 'ones'")
+        p.add_argument("--t", type=float, required=True)
+    command("gm-verify", cmd_gm_verify,
+            "pairwise spectra/deck/squares/projection checks",
+            "matrix_a", "matrix_b").add_argument(
+        "--multiset-deck", action="store_true",
+        help="compare deck cards as an unordered collection")
+    command("tmain", cmd_tmain, "lowest eigenpair of A+tJ vs B+tJ over t samples",
+            "matrix_a", "matrix_b").add_argument(
+        "--t-samples", type=_parse_t_samples, default=None, metavar="COUNT,LO,HI")
+    command("probe-tau", cmd_probe_tau,
+            "best coordinate permutation between simple eigenvectors",
+            "matrix_a", "matrix_b").add_argument(
+        "--index", type=int, default=0,
+        help="0-based eigenvalue index, must be simple in both")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if not getattr(args, "tol", 0.0) >= 0:  # also rejects NaN
-            raise ValueError(f"tol must be nonnegative, got {args.tol}")
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

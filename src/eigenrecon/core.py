@@ -16,6 +16,7 @@ import numpy as np
 SYM_TOL = 1e-8
 JACOBI_MAX_SWEEPS = 100
 INTERLACE_SLACK = 1e-8
+FLOAT_MAX = float(np.finfo(float).max)
 
 
 class MatrixFormatError(ValueError):
@@ -55,13 +56,17 @@ class SymmetricMatrix:
         peak = float(np.max(np.abs(m)))  # NaN or inf exactly when an entry is
         if not np.isfinite(peak):
             raise ValueError("matrix entries must be finite")
-        asym = float(np.max(np.abs(m - m.T)))
+        with np.errstate(over="ignore"):  # inf is then an honest answer
+            asym = float(np.max(np.abs(m - m.T)))
         if asym > SYM_TOL * peak:
             raise ValueError(
                 f"input is not symmetric: max |M - M^T| = {asym:.3e} "
                 f"exceeds {SYM_TOL:.1e} * {peak:.3e}"
             )
-        sym = (m + m.T) / 2.0
+        # m + m^T overflows once an entry passes half the float maximum. There
+        # the halves are summed instead: exact but for subnormal entries,
+        # whose last bit is far below the rounding of such a peak.
+        sym = (m + m.T) / 2.0 if peak <= FLOAT_MAX / 2.0 else m / 2.0 + m.T / 2.0
         sym.setflags(write=False)
         return cls(sym)
 
@@ -90,7 +95,7 @@ class Spectrum:
 
     @property
     def spread(self) -> float:
-        return float(self.values[0] - self.values[-1])
+        return _spread(self.values)
 
     def is_simple(self, i: int) -> bool:
         if not 0 <= i < len(self):
@@ -98,10 +103,14 @@ class Spectrum:
         return (i,) in self.clusters
 
 
+def _spread(values) -> float:
+    """values[0] - values[-1], saturated at the float maximum."""
+    return min(float(values[0]) - float(values[-1]), FLOAT_MAX)
+
+
 def default_cluster_tol(values) -> float:
     """max(1e-12 * max|lambda|, 1e-8 * spread), relative to the values."""
-    spread = float(values[0] - values[-1])
-    return max(1e-12 * float(np.max(np.abs(values))), 1e-8 * spread)
+    return max(1e-12 * float(np.max(np.abs(values))), 1e-8 * _spread(values))
 
 
 def cluster_spectrum(values) -> Spectrum:
@@ -115,13 +124,14 @@ def cluster_spectrum(values) -> Spectrum:
     vals = np.asarray(values, dtype=float).copy()
     if len(vals) == 0:
         raise ValueError("empty spectrum")
-    if np.any(np.diff(vals) > 0):
+    if np.any(vals[1:] > vals[:-1]):
         raise ValueError("eigenvalues must be sorted descending")
     tol = default_cluster_tol(vals)
     clusters: list[tuple[int, ...]] = []
     start = 0
-    for k in range(1, len(vals)):
-        if vals[k - 1] - vals[k] > tol or vals[start] - vals[k] > tol:
+    v = vals.tolist()  # Python floats: a gap past the float range is inf, silently
+    for k in range(1, len(v)):
+        if v[k - 1] - v[k] > tol or v[start] - v[k] > tol:
             clusters.append(tuple(range(start, k)))
             start = k
     clusters.append(tuple(range(start, len(vals))))
@@ -181,6 +191,11 @@ def _rounds(n: int) -> list[tuple[np.ndarray, ...]]:
                     sign, floor))
 
 
+def scale_exponent(peak):
+    """The even e with peak * 2^-e in [0.5, 2), elementwise; 0 where peak is 0."""
+    return np.frexp(peak)[1] & ~1
+
+
 def _jacobi(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi on every matrix of a (b, n, n) stack at once.
 
@@ -201,7 +216,7 @@ def _jacobi(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rotated stack and the accumulated rotations, both (b, n, n).
     """
     b, n, _ = stack.shape
-    e = (np.frexp(np.max(np.abs(stack), axis=(1, 2)))[1] & ~1)[:, None, None]
+    e = scale_exponent(np.max(np.abs(stack), axis=(1, 2)))[:, None, None]
     # a on top of p, so one column rotation updates both.
     work = np.concatenate([np.ldexp(stack, -e),
                            np.broadcast_to(np.eye(n), (b, n, n))], axis=1)
@@ -336,10 +351,8 @@ def char_poly_eval(spec: Spectrum, lam: float) -> float:
 
 def char_poly_derivative_eval(spec: Spectrum, lam: float) -> float:
     """d/dlam of det(lam*I - M), as the sum of leave-one-out products."""
-    total = 0.0
-    for k in range(len(spec.values)):
-        total += float(np.prod(np.delete(lam - spec.values, k)))
-    return total
+    return sum(float(np.prod(np.delete(lam - spec.values, k)))
+               for k in range(len(spec.values)))
 
 
 # --- matrix text format -----------------------------------------------------

@@ -17,14 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Diagnostic, EigenBasis, Spectrum, canonical_column_signs,
-                   cluster_spectrum, default_cluster_tol)
+from .core import (Diagnostic, EigenBasis, Spectrum, SymmetricMatrix,
+                   canonical_column_signs, cluster_spectrum, default_cluster_tol,
+                   eigh_stack)
 
 DEFLATE_TOL = 1e-12
 POLE_OFFSET_SCALE = 1e-13
 ROOT_WIDTH_TOL = 1e-13
 NEAR_DEGENERATE_TOL = 1e-10
 MAX_BISECT = 200
+DET_TOL = 1e-9
 
 
 class BracketError(RuntimeError):
@@ -56,6 +58,16 @@ class SecularSystem:
         return abs(self.t) * float(np.sum(self.active_weights)) + self.lambdas.spread
 
 
+def _update_vector(n: int, x, t: float) -> np.ndarray:
+    """x as a float array, once it has length n and t is finite."""
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"x has shape {x.shape}, expected ({n},)")
+    return x
+
+
 def build_secular(basis: EigenBasis, x, t: float) -> SecularSystem:
     """Project x onto the eigenbasis and aggregate weights per cluster.
 
@@ -65,11 +77,7 @@ def build_secular(basis: EigenBasis, x, t: float) -> SecularSystem:
     cluster wider than ``default_cluster_tol``: each cluster is taken as one
     eigenvalue of exact multiplicity, so a wider one merges distinct poles.
     """
-    if not np.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (basis.n,):
-        raise ValueError(f"x has shape {x.shape}, expected ({basis.n},)")
+    x = _update_vector(basis.n, x, t)
     spec = basis.spectrum
     widest = max(float(spec.values[c[0]] - spec.values[c[-1]]) for c in spec.clusters)
     limit = default_cluster_tol(spec.values)
@@ -80,13 +88,8 @@ def build_secular(basis: EigenBasis, x, t: float) -> SecularSystem:
     q = basis.vectors.T @ x
     poles = np.array([np.mean(spec.values[list(c)]) for c in spec.clusters])
     weights = np.array([float(np.sum(q[list(c)] ** 2)) for c in spec.clusters])
-    xsq = float(x @ x)
-    if t == 0.0:
-        active: tuple[int, ...] = ()
-    else:
-        active = tuple(
-            k for k in range(len(weights)) if weights[k] > DEFLATE_TOL * xsq
-        )
+    floor = DEFLATE_TOL * float(x @ x)
+    active = tuple(k for k in range(len(weights)) if t != 0.0 and weights[k] > floor)
     active_poles = poles[list(active)]
     active_weights = weights[list(active)]
     for arr in (poles, weights, active_poles, active_weights):
@@ -140,6 +143,10 @@ def _open_at_pole(f, pole: float, side: int, limit: float,
     raise BracketError(f"could not open a bracket at pole y = {pole}")
 
 
+# Next to a pole a term of P_t can pass the float range (a zero matrix at
+# 1e300, say, where the offsets stay absolute); the inf keeps the sign that
+# every bracket decision reads.
+@np.errstate(over="ignore")
 def secular_roots(sys: SecularSystem) -> np.ndarray:
     """All roots of P_t over the active poles, sorted descending.
 
@@ -260,13 +267,8 @@ def rank1_update(basis: EigenBasis, x, t: float) -> UpdateResult:
 
     entries.sort(key=lambda e: -e[0])
     values = np.array([e[0] for e in entries])
-    return UpdateResult(
-        cluster_spectrum(values),
-        tuple(e[1] for e in entries),
-        tuple(e[2] for e in entries),
-        tuple(warnings),
-        sys,
-    )
+    return UpdateResult(cluster_spectrum(values), tuple(e[1] for e in entries),
+                        tuple(e[2] for e in entries), tuple(warnings), sys)
 
 
 @dataclass(frozen=True)
@@ -280,41 +282,41 @@ class DetIdentityReport:
     def max_rel_dev(self) -> float:
         return max(self.deviations, default=0.0)
 
+    @property
+    def passed(self) -> bool:
+        return self.max_rel_dev <= DET_TOL
 
-def verify_det_identity(basis: EigenBasis, x, t: float, probes: int = 20,
-                        seed: int = 0) -> DetIdentityReport:
+
+def verify_det_identity(A: SymmetricMatrix, x, t: float) -> DetIdentityReport:
     """Check det(A + t*x*x^T - lam*I) = det(A - lam*I) * P_t(lam) numerically.
 
-    The updated spectrum mu comes from an independent eigendecomposition of
-    the updated matrix. Each probe compares prod_k (lam - mu_k) / (lam -
-    lambda_k), both spectra descending and paired by order, with P_t(lam):
-    det(A - lam*I) cancels, and the paired ratios stay far from overflow at
-    any matrix scale. Probe points are sampled away from every eigenvalue of
-    A by at least 1e-3 * spread. Fewer than one probe raises ValueError.
+    A and the updated matrix are solved in one ``eigh_stack``. At each probe
+    lam, prod_k (lam - mu_k) / (lam - lambda_k), both spectra descending and
+    paired by order, is compared with P_t(lam): det(A - lam*I) cancels, and
+    the paired ratios stay far from overflow at any scale. Times
+    det(lam*I - A), both sides are monic of degree n and share each
+    cluster's retained copies, so agreement at one point more than there are
+    clusters proves the identity. The probes are the midpoint of each gap
+    between consecutive clusters of A and one point half the spread beyond
+    each end. A single cluster is probed half of max(cap, clustering
+    tolerance) away, or 1/2 when both are 0 (t = 0 or x = 0 on a zero matrix).
     """
-    from .core import SymmetricMatrix, eigh
-
-    if probes < 1:
-        raise ValueError(f"probes must be at least 1, got {probes}")
-    x = np.asarray(x, dtype=float)
+    x = _update_vector(A.n, x, t)
+    basis, updated = eigh_stack(
+        [A, SymmetricMatrix.from_array(A.entries + t * np.outer(x, x))])
     sys = build_secular(basis, x, t)
-    A = basis.vectors @ np.diag(basis.spectrum.values) @ basis.vectors.T
-    updated = eigh(SymmetricMatrix.from_array(A + t * np.outer(x, x)))
-
     spec = basis.spectrum
-    spread = max(spec.spread, 1.0)
-    lo = float(spec.values[-1]) - 0.5 * spread
-    hi = float(spec.values[0]) + 0.5 * spread
-    rng = np.random.default_rng(seed)
-    points = []
-    while len(points) < probes:
-        lam = float(rng.uniform(lo, hi))
-        if np.min(np.abs(lam - spec.values)) >= 1e-3 * spread:
-            points.append(lam)
-
-    devs = []
-    for lam in points:
-        left = float(np.prod((lam - updated.spectrum.values) / (lam - spec.values)))
-        right = secular_eval(sys, lam)
-        devs.append(abs(left - right) / max(abs(left), abs(right), 1e-300))
-    return DetIdentityReport(tuple(points), tuple(devs))
+    tops = spec.values[[c[0] for c in spec.clusters]]
+    bottoms = spec.values[[c[-1] for c in spec.clusters]]
+    reach = spec.spread if len(tops) > 1 else (
+        max(sys.cap, default_cluster_tol(spec.values)) or 1.0)
+    # Halves first, so that no sum overflows.
+    lam = np.array([tops[0] + reach / 2, *(bottoms[:-1] / 2 + tops[1:] / 2),
+                    bottoms[-1] - reach / 2])[:, None]
+    left = np.prod((lam - updated.spectrum.values) / (lam - spec.values), axis=1)
+    terms = sys.t * sys.active_weights / (sys.active_poles - lam)
+    right = 1.0 + terms.sum(axis=1)  # P_t(lam)
+    # Relative to the scale P_t is evaluated at, not to its value: a probe on
+    # a root of the update, where both sides vanish, is no harder than others.
+    devs = np.abs(left - right) / (1.0 + np.abs(terms).sum(axis=1))
+    return DetIdentityReport(tuple(lam[:, 0].tolist()), tuple(devs.tolist()))

@@ -21,6 +21,7 @@ from .core import Diagnostic, SpectralDeck, Spectrum, SymmetricMatrix, deck
 
 CLAMP_TOL = 1e-10
 ROW_SUM_TOL = 1e-8
+COMPARE_TOL = 1e-8
 
 
 class NotSimpleError(ValueError):
@@ -117,15 +118,15 @@ def square_table(A: SymmetricMatrix) -> SquareTable:
 
 @dataclass(frozen=True)
 class SquareComparison:
-    """Per-simple-index deviation between two square tables."""
+    """Per-simple-index deviation between two square tables, each within
+    COMPARE_TOL to pass (squared entries are dimensionless)."""
 
     indices: tuple[int, ...]
     max_dev: tuple[float, ...]
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return all(d <= self.tol for d in self.max_dev)
+        return all(d <= COMPARE_TOL for d in self.max_dev)
 
     @property
     def worst(self) -> float:
@@ -134,16 +135,15 @@ class SquareComparison:
     def to_dict(self) -> dict:
         return {
             "pass": self.passed,
-            "tol": self.tol,
+            "tol": COMPARE_TOL,
             "per_index": [
-                {"index": i, "max_dev": d, "pass": d <= self.tol}
+                {"index": i, "max_dev": d, "pass": d <= COMPARE_TOL}
                 for i, d in zip(self.indices, self.max_dev)
             ],
         }
 
 
-def compare_squares(table_a: SquareTable, table_b: SquareTable,
-                    tol: float) -> SquareComparison:
+def compare_squares(table_a: SquareTable, table_b: SquareTable) -> SquareComparison:
     """Godsil-McKay squared-entry comparison over shared simple indices.
 
     The caller guarantees the two tables come from matrices with matching
@@ -156,4 +156,4 @@ def compare_squares(table_a: SquareTable, table_b: SquareTable,
         float(np.max(np.abs(table_a.table[:, i] - table_b.table[:, i])))
         for i in shared
     )
-    return SquareComparison(shared, devs, tol)
+    return SquareComparison(shared, devs)

@@ -17,23 +17,35 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import EigenBasis, SymmetricMatrix, deck, eigh, eigh_stack
+from .core import (EigenBasis, Spectrum, SymmetricMatrix, deck, eigh_stack,
+                   scale_exponent)
 from .secular import rank1_update
 from .squares import SquareComparison, compare_squares, square_table_from_deck
 
 SIGN_TOL_SCALE = 1e-10
-PROJECTION_TOL_FACTOR = 10.0
-ANGLE_TOL = 1e-8
-# 16 shifts uniform in the half-open interval (-1, -1/16].
+# Eigenvalues differ by at most VALUE_TOL in the pair's unit (``value_tol``);
+# the other compared quantities are dimensionless.
+VALUE_TOL = 1e-8
+VECTOR_TOL = 1e-8  # eigenvector distances and angles
+PROJECTION_TOL = 1e-7
+# 16 shifts uniform in the half-open interval (-1, -1/16], in the pair's unit.
 DEFAULT_T_SAMPLES = tuple(-1.0 + k * (15.0 / 16.0) / 16.0 for k in range(1, 17))
+
+
+def _unit_exponent(A: SymmetricMatrix, B: SymmetricMatrix) -> int:
+    """The pair's unit is 2^e, e the ``scale_exponent`` of max|a| over both."""
+    return int(scale_exponent(max(np.max(np.abs(M.entries)) for M in (A, B))))
+
+
+def value_tol(A: SymmetricMatrix, B: SymmetricMatrix) -> float:
+    """VALUE_TOL in the pair's unit, so that it scales exactly with the pair."""
+    return float(np.ldexp(VALUE_TOL, _unit_exponent(A, B)))
 
 
 def projection_of_ones(basis: EigenBasis, cluster) -> np.ndarray:
     """Orthogonal projection of the all-ones vector onto a cluster eigenspace."""
-    idx = list(cluster)
-    p = basis.vectors[:, idx]
-    ones = np.ones(basis.n)
-    return p @ (p.T @ ones)
+    p = basis.vectors[:, list(cluster)]
+    return p @ (p.T @ np.ones(basis.n))
 
 
 @dataclass(frozen=True)
@@ -92,24 +104,28 @@ class TheoremMainSample:
         return self.simple_in_a and self.simple_in_b
 
     def passes(self, tol: float) -> bool:
-        """Lowest eigenvalues within tol and eigenvectors within ANGLE_TOL;
+        """Lowest eigenvalues within tol and eigenvectors within VECTOR_TOL;
         inconclusive shifts pass."""
         return not self.conclusive or (
-            self.lambda_n_dev <= tol and self.angle <= ANGLE_TOL)
+            self.lambda_n_dev <= tol and self.angle <= VECTOR_TOL)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "conclusive": self.conclusive}
 
 
 def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix,
-                        t_samples=DEFAULT_T_SAMPLES) -> list[TheoremMainSample]:
+                        t_samples=None) -> list[TheoremMainSample]:
     """Lowest eigenpair of A + t*J and B + t*J across sampled shifts.
 
     Each sample also cross-checks the direct eigendecomposition of A + t*J
     against the secular-equation path through rank1_update(basis of A, 1, t).
+    Given shifts are absolute; by default DEFAULT_T_SAMPLES in the pair's
+    unit (see ``value_tol``) are used.
     """
     if A.n != B.n:
         raise ValueError("dimension mismatch")
+    if t_samples is None:
+        t_samples = np.ldexp(DEFAULT_T_SAMPLES, _unit_exponent(A, B))
     if not len(t_samples):
         raise ValueError("t_samples must be nonempty")
     if not np.all(np.isfinite(t_samples)):
@@ -195,27 +211,30 @@ class PairReport:
         }
 
 
-def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, tol: float = 1e-8,
-              multiset_deck: bool = False,
-              t_samples=DEFAULT_T_SAMPLES) -> PairReport:
+def _max_dev(a: Spectrum, b: Spectrum) -> float:
+    return float(np.max(np.abs(a.values - b.values)))
+
+
+def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, *,
+              multiset_deck: bool = False, t_samples=None) -> PairReport:
     """Compare two matrices under the equal-spectra, equal-deck hypothesis.
 
     Deck cards are compared index-aligned (card m of A against card m of B);
     pass ``multiset_deck=True`` to instead match cards as an unordered
-    collection, the convention of classical graph reconstruction.
+    collection, the convention of classical graph reconstruction. Spectra,
+    cards and theorem-main eigenvalues must agree within ``value_tol``;
+    ``t_samples`` is as for ``verify_theorem_main``.
     """
     if A.n != B.n:
         raise ValueError("dimension mismatch")
+    tol = value_tol(A, B)
     deck_a = deck(A)
     deck_b = deck(B)
     basis_a = deck_a.parent
     basis_b = deck_b.parent
-    spectra_dev = float(np.max(np.abs(
-        basis_a.spectrum.values - basis_b.spectrum.values)))
-    deck_devs = tuple(
-        float(np.max(np.abs(ca.values - cb.values)))
-        for ca, cb in zip(deck_a.card_spectra, deck_b.card_spectra)
-    )
+    spectra_dev = _max_dev(basis_a.spectrum, basis_b.spectrum)
+    deck_devs = tuple(_max_dev(ca, cb)
+                      for ca, cb in zip(deck_a.card_spectra, deck_b.card_spectra))
     multiset_devs = None
     if multiset_deck:
         # Greedy matching in A's card order: each card of A takes the unused
@@ -225,7 +244,7 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, tol: float = 1e-8,
         unused = list(deck_b.card_spectra)
         devs = []
         for ca in deck_a.card_spectra:
-            gaps = [float(np.max(np.abs(ca.values - cb.values))) for cb in unused]
+            gaps = [_max_dev(ca, cb) for cb in unused]
             k = int(np.argmin(gaps))
             devs.append(gaps[k])
             del unused[k]
@@ -233,7 +252,7 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, tol: float = 1e-8,
 
     table_a = square_table_from_deck(basis_a.spectrum, deck_a)
     table_b = square_table_from_deck(basis_b.spectrum, deck_b)
-    squares = compare_squares(table_a, table_b, tol)
+    squares = compare_squares(table_a, table_b)
 
     projections = []
     if len(basis_a.spectrum.clusters) == len(basis_b.spectrum.clusters):
@@ -244,7 +263,7 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, tol: float = 1e-8,
             projections.append({
                 "value": float(np.mean(basis_a.spectrum.values[list(ca)])),
                 "distance": dist,
-                "pass": dist <= PROJECTION_TOL_FACTOR * tol,
+                "pass": dist <= PROJECTION_TOL,
             })
     else:
         projections.append({
@@ -263,7 +282,7 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, tol: float = 1e-8,
         if ca.orthogonal_to_ones or cb.orthogonal_to_ones:
             continue
         dist = float(np.linalg.norm(ca.vector - cb.vector))
-        signs.append({"index": i, "distance": dist, "pass": dist <= tol})
+        signs.append({"index": i, "distance": dist, "pass": dist <= VECTOR_TOL})
 
     theorem_main = tuple(verify_theorem_main(A, B, t_samples))
     return PairReport(A.n, tol, spectra_dev, deck_devs, multiset_devs,
@@ -285,22 +304,22 @@ class PermutationProbe:
 
 
 def probe_permutation_conjecture(A: SymmetricMatrix, B: SymmetricMatrix,
-                                 i: int, *, tol: float = 1e-8) -> PermutationProbe:
+                                 i: int) -> PermutationProbe:
     """Find the coordinate permutation tau minimizing ||p_i[tau] -/+ u_i||.
 
     By the rearrangement inequality the optimum pairs the k-th smallest entry
     of sign*p_i with the k-th smallest entry of u_i, so two sorts per sign
     replace a search over all n! permutations. The sign with the smaller
     distance wins (+1 on a tie). With tied entries any optimal tau may be
-    returned, not necessarily the lexicographically first. A miss carries the
-    minimum distance over all permutations and both signs.
+    returned, not necessarily the lexicographically first. A distance above
+    VECTOR_TOL is a miss, which carries the minimum distance over all
+    permutations and both signs.
     """
     if A.n != B.n:
         raise ValueError("dimension mismatch")
     if not 0 <= i < A.n:
         raise ValueError(f"eigenvalue index {i} is out of range 0..{A.n - 1}")
-    basis_a = eigh(A)
-    basis_b = eigh(B)
+    basis_a, basis_b = eigh_stack([A, B])
     if not basis_a.spectrum.is_simple(i) or not basis_b.spectrum.is_simple(i):
         raise ValueError(f"eigenvalue index {i} is not simple in both matrices")
     p = basis_a.vectors[:, i]
@@ -313,6 +332,6 @@ def probe_permutation_conjecture(A: SymmetricMatrix, B: SymmetricMatrix,
         tau = np.argsort(sign * p, kind="stable")[rank_u]
         fits.append((float(np.linalg.norm(p[tau] - sign * u)), sign, tau))
     dist, sign, tau = min(fits, key=lambda fit: fit[0])
-    if dist <= tol:
+    if dist <= VECTOR_TOL:
         return PermutationProbe(True, tuple(int(k) for k in tau), sign, dist, dist)
     return PermutationProbe(False, None, None, math.inf, dist)

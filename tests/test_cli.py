@@ -183,16 +183,6 @@ def test_non_finite_vector_exits_2(matrix_file, capsys):
                  "out of range", id="probe-tau-index-9"),
     pytest.param(["probe-tau", "{a}", "{a}", "--index", "-1"],
                  "out of range", id="probe-tau-index-minus-1"),
-    pytest.param(["det-check", "{a}", "--x", "ones", "--t", "-0.4", "--probes", "0"],
-                 "probes must be at least 1", id="det-check-probes-0"),
-    pytest.param(["det-check", "{a}", "--x", "ones", "--t", "-0.4", "--probes", "-3"],
-                 "probes must be at least 1", id="det-check-probes-minus-3"),
-    pytest.param(["gm-verify", "{a}", "{a}", "--tol", "nan"],
-                 "tol must be nonnegative", id="gm-verify-tol-nan"),
-    pytest.param(["tmain", "{a}", "{a}", "--tol", "-1"],
-                 "tol must be nonnegative", id="tmain-tol-minus-1"),
-    pytest.param(["probe-tau", "{a}", "{a}", "--tol", "nan"],
-                 "tol must be nonnegative", id="probe-tau-tol-nan"),
 ])
 def test_hostile_flag_exits_2(matrix_file, capsys, argv, message):
     a = matrix_file("a.txt", P3)
@@ -233,6 +223,17 @@ def test_squares_warnings_on_stderr(matrix_file, capsys, monkeypatch):
     pytest.param(["det-check", "{a}", "--x", "ones", "--t", "-0.5",
                   "--cluster-tol", "5"], id="det-check-cluster-tol"),
     pytest.param(["eig", "{a}", "--format", "text"], id="eig-format-text"),
+    pytest.param(["det-check", "{a}", "--x", "ones", "--t", "-0.4", "--probes", "0"],
+                 id="det-check-probes-0"),
+    pytest.param(["det-check", "{a}", "--x", "ones", "--t", "-0.4", "--probes", "-3"],
+                 id="det-check-probes-minus-3"),
+    pytest.param(["det-check", "{a}", "--x", "ones", "--t", "-0.4", "--seed", "1"],
+                 id="det-check-seed"),
+    pytest.param(["det-check", "{a}", "--x", "ones", "--t", "-0.4", "--tol", "1e-9"],
+                 id="det-check-tol"),
+    pytest.param(["gm-verify", "{a}", "{a}", "--tol", "nan"], id="gm-verify-tol-nan"),
+    pytest.param(["tmain", "{a}", "{a}", "--tol", "-1"], id="tmain-tol-minus-1"),
+    pytest.param(["probe-tau", "{a}", "{a}", "--tol", "nan"], id="probe-tau-tol-nan"),
 ])
 def test_removed_flag_exits_2(matrix_file, capsys, argv):
     a = matrix_file("a.txt", P3)
@@ -291,3 +292,56 @@ def test_every_flag_is_read(matrix_file, capsys, subcommand):
     assert args.func(args) == 0
     capsys.readouterr()
     assert set(vars(args)) - {"func"} - reads == set()
+
+
+def flags(node):
+    """Every "pass" and "found" value in a JSON report, in document order."""
+    if isinstance(node, dict):
+        own = [node[k] for k in ("pass", "found") if k in node]
+        return own + [f for v in node.values() for f in flags(v)]
+    if isinstance(node, list):
+        return [f for v in node for f in flags(v)]
+    return []
+
+
+def test_checks_do_not_depend_on_units(matrix_file, capsys):
+    # Scaling by 4^k is exact, so every verdict of the four checks must be
+    # the same as at scale 1, on a pair within rounding noise of each other
+    # and on a pair 1e-3 apart.
+    rng = np.random.default_rng(9)
+    m = rng.uniform(-1, 1, (5, 5))
+    noise = rng.uniform(-1, 1, (5, 5))
+    a = (m + m.T) / 2
+    close = a + 1e-12 * (noise + noise.T)
+    bumped = a.copy()
+    bumped[0, 0] += 1e-3
+    x = matrix_file("x.txt", core.format_vector(rng.uniform(-1, 1, 5)))
+    outcomes = {}
+    for k in (0, -5, 5, -20, 20, -100, 100):
+        def write(name, entries):
+            return matrix_file(f"{name}{k}.txt", core.format_matrix(
+                core.SymmetricMatrix.from_array(np.ldexp(entries, 2 * k))))
+
+        fa = write("a", a)
+        runs = [["det-check", fa, "--x", x, f"--t={float(np.ldexp(-0.7, 2 * k))!r}"]]
+        for other in (write("close", close), write("bumped", bumped)):
+            runs += [["gm-verify", fa, other], ["tmain", fa, other],
+                     ["probe-tau", fa, other, "--index", "1"]]
+        outcomes[k] = []
+        for argv in runs:
+            code, out = run(capsys, *argv)
+            outcomes[k].append((argv[0], code, flags(json.loads(out))))
+    assert [code for _, code, _ in outcomes[0]] == [0, 0, 0, 0, 1, 1, 1]
+    for k in outcomes:
+        assert outcomes[k] == outcomes[0], k
+
+
+def test_eig_near_float_max(matrix_file, capsys):
+    # (M + M^T) / 2 would overflow here; both eigenvalues come back exactly.
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    code, out = run(capsys, "eig", matrix_file("a.txt", "2\n1e308 0\n0 5e307\n"))
+    payload = json.loads(out, parse_constant=reject)
+    assert code == 0
+    assert payload["eigenvalues"] == {"values": [1e308, 5e307], "clusters": [[0], [1]]}

@@ -9,7 +9,7 @@ do not count as A.
 import numpy as np
 import pytest
 
-from eigenrecon import core, squares, verify
+from eigenrecon import core, secular, squares, verify
 
 
 @pytest.fixture
@@ -46,3 +46,26 @@ def test_verify_gm_decomposes_each_matrix_once(solved):
     shifted = [M.entries + t * J for t in t_samples for M in (A, B)]
     count = sum(solved(m) for m in [A.entries, B.entries, *shifted])
     assert count == 3 + 2 * len(t_samples)
+
+
+@pytest.mark.parametrize("check", ["det-check", "probe-tau"])
+def test_two_matrix_checks_solve_one_stack(monkeypatch, check):
+    # det-check solves A and A + t*x*x^T, probe-tau A and B, together.
+    stacks = []
+    original = core._jacobi
+
+    def recording_jacobi(stack):
+        stacks.append(stack.copy())
+        return original(stack)
+
+    monkeypatch.setattr(core, "_jacobi", recording_jacobi)
+    A, B = random_symmetric(8, 5), random_symmetric(9, 5)
+    if check == "det-check":
+        x = np.arange(1.0, 6.0)
+        secular.verify_det_identity(A, x, -0.3)
+        second = A.entries + -0.3 * np.outer(x, x)
+    else:
+        verify.probe_permutation_conjecture(A, B, 0)
+        second = B.entries
+    assert len(stacks) == 1
+    assert np.array_equal(stacks[0], [A.entries, second])

@@ -328,6 +328,18 @@ class TestExtremeScales:
         for m, card in enumerate(cards.card_spectra):
             self.assert_spectrum(card.values, A.delete(m).entries)
 
+    @pytest.mark.parametrize("entries", [[[1e308, 0.0], [0.0, 5e307]],
+                                         [[1e308, 0.0], [0.0, -1e308]],
+                                         [[0.0, 1e308], [1e308, 0.0]]])
+    def test_near_float_max(self, entries):
+        # Neither symmetrisation nor the spread may overflow (a RuntimeWarning
+        # fails the suite): the two eigenvalues stay two clusters.
+        A = core.SymmetricMatrix.from_array(entries)
+        spec = core.eigh(A).spectrum
+        self.assert_spectrum(spec.values, A.entries)
+        assert spec.clusters == ((0,), (1,))
+        assert 0.0 < spec.spread <= core.FLOAT_MAX
+
 
 def scaled_bytes(x, k) -> bytes:
     return np.ldexp(x, k).tobytes()

@@ -1,10 +1,13 @@
-"""The README's library quick start runs as written, and the package
-exports nothing beyond it, the matrix type and the errors."""
+"""The README's library quick start runs as written, the package exports
+nothing beyond it, the matrix type and the errors, and the command line
+keeps its listed options."""
 
+import argparse
 import re
 from pathlib import Path
 
 import eigenrecon
+from eigenrecon import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,3 +27,25 @@ def test_public_api_is_pinned():
         "SymmetricMatrix", "deck", "eigh", "parse_matrix", "rank1_update",
         "square_table", "verify_gm",
     ]
+
+
+def test_cli_surface_is_pinned():
+    # A tolerance or sampling knob that comes back must change this list.
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    surface = {
+        name: [option for action in parser._actions
+               for option in action.option_strings or [action.dest]
+               if action.dest != "help"]
+        for name, parser in subparsers.choices.items()
+    }
+    assert surface == {
+        "eig": ["matrix"],
+        "deck": ["matrix"],
+        "squares": ["matrix"],
+        "rank1": ["matrix", "--x", "--t"],
+        "det-check": ["matrix", "--x", "--t"],
+        "gm-verify": ["matrix_a", "matrix_b", "--multiset-deck"],
+        "tmain": ["matrix_a", "matrix_b", "--t-samples"],
+        "probe-tau": ["matrix_a", "matrix_b", "--index"],
+    }

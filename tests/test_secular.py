@@ -292,7 +292,8 @@ class TestRank1Update:
 
 class TestDetIdentity:
     def test_t_zero(self):
-        rep = secular.verify_det_identity(swap_basis(), np.ones(2), 0.0)
+        rep = secular.verify_det_identity(
+            core.SymmetricMatrix.from_array([[0, 1], [1, 0]]), np.ones(2), 0.0)
         assert rep.max_rel_dev <= 1e-12
 
     def test_2x2_closed_form(self):
@@ -307,9 +308,89 @@ class TestDetIdentity:
             assert lhs == pytest.approx(-(1 + 2 * t), abs=1e-12)
             assert rhs == pytest.approx(lhs, abs=1e-12)
 
-    def test_seeded_probes(self):
-        rng = np.random.default_rng(61)
-        A, x = random_instance(rng, 8)
-        rep = secular.verify_det_identity(core.eigh(A), x, -0.9, probes=20)
-        assert len(rep.probes) == 20
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_probe_rule(self, n):
+        # One probe in each gap of a simple spectrum and one beyond each end,
+        # within half a spread: n + 1 points, enough to prove the identity.
+        A, x = random_instance(np.random.default_rng(61), n)
+        rep = secular.verify_det_identity(A, x, -0.9)
+        vals = core.eigh(A).spectrum.values
+        half = (vals[0] - vals[-1]) / 2
+        probes = np.array(rep.probes)
+        assert len(probes) == n + 1
+        assert probes[0] <= vals[0] + half and probes[-1] >= vals[-1] - half
+        assert np.all(probes[:-1] > vals) and np.all(probes[1:] < vals)
+        assert rep.passed and rep.max_rel_dev <= 1e-9
+
+    def test_one_probe_per_cluster_gap(self):
+        # Star K1,3: sqrt 3, 0 (twice), -sqrt 3 make three clusters.
+        star = np.zeros((4, 4))
+        star[0, 1:] = star[1:, 0] = 1.0
+        A = core.SymmetricMatrix.from_array(star)
+        rep = secular.verify_det_identity(A, np.arange(1.0, 5.0), 0.7)
+        r3 = math.sqrt(3)
+        np.testing.assert_allclose(rep.probes, [2 * r3, r3 / 2, -r3 / 2, -2 * r3],
+                                   rtol=1e-15)
         assert rep.max_rel_dev <= 1e-9
+
+    def test_probe_on_a_root_of_the_update(self):
+        # C4 - J/4 has eigenvalue 1, the midpoint of the gap between C4's
+        # clusters 2 and 0 (twice): both sides vanish at that probe.
+        c4 = np.array([[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]])
+        rep = secular.verify_det_identity(core.SymmetricMatrix.from_array(c4),
+                                          np.ones(4), -0.25)
+        assert rep.probes[1] == pytest.approx(1.0, abs=1e-15)
+        assert rep.passed and rep.max_rel_dev <= 1e-12
+
+    def test_corrupted_update_caught_at_small_scale(self, monkeypatch):
+        # The probes sit among the eigenvalues at any scale, so a 1e-6
+        # relative error in the updated spectrum of P3 * 1e-12 shows.
+        P3 = core.SymmetricMatrix.from_array(
+            1e-12 * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
+        assert secular.verify_det_identity(P3, np.ones(3), -0.5e-12).passed
+        solve = secular.eigh_stack
+
+        def corrupted(matrices):
+            basis, updated = solve(matrices)
+            values = core.cluster_spectrum(updated.spectrum.values * (1 + 1e-6))
+            return basis, core.EigenBasis(values, updated.vectors)
+
+        monkeypatch.setattr(secular, "eigh_stack", corrupted)
+        rep = secular.verify_det_identity(P3, np.ones(3), -0.5e-12)
+        assert not rep.passed
+        assert rep.max_rel_dev >= 1e-7
+        assert max(abs(p) for p in rep.probes) <= 3e-12
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("c", [0.0, 0.7])
+class TestZeroAndScalarMatrices:
+    """c * I at extreme scales: one cluster, so the update has one root and
+    det-check has no gap to place its probes by."""
+
+    def instance(self, scale, n, c):
+        x = np.random.default_rng(200 + n).uniform(-1, 1, n)
+        return core.SymmetricMatrix.from_array(c * scale * np.eye(n)), x
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_rank1_update_matches_numpy(self, scale, n, c, sign):
+        A, x = self.instance(scale, n, c)
+        t = sign * 0.3 * scale
+        r = secular.rank1_update(core.eigh(A), x, t)
+        M = A.entries + t * np.outer(x, x)
+        expected = np.linalg.eigvalsh(M)[::-1]
+        assert np.max(np.abs(r.values - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert [kind for kind, _ in r.origins].count("root") == 1
+        bound = 1e-8 * (n * c + 0.3 * x @ x)
+        for val, v in zip(r.values, r.vectors):
+            if v is not None:
+                assert np.linalg.norm((M @ v - val * v) / scale) <= bound
+
+    @pytest.mark.parametrize("t", [-0.3, 0.0, 0.3])
+    def test_det_identity(self, scale, n, c, t):
+        A, x = self.instance(scale, n, c)
+        rep = secular.verify_det_identity(A, x, t * scale)
+        assert len(rep.probes) == 2
+        assert rep.probes[0] > c * scale > rep.probes[1]
+        assert rep.passed and rep.max_rel_dev <= 1e-12

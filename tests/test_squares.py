@@ -152,7 +152,7 @@ class TestCompareSquares:
     def test_self_comparison(self):
         A = random_simple_symmetric(np.random.default_rng(3), 5)
         t = squares.square_table(A)
-        cmp = squares.compare_squares(t, t, 1e-10)
+        cmp = squares.compare_squares(t, t)
         assert cmp.passed
         assert cmp.worst == 0.0
 
@@ -166,12 +166,27 @@ class TestCompareSquares:
         A = core.SymmetricMatrix.from_array(P4)
         B = core.SymmetricMatrix.from_array(rev @ P4 @ rev.T)
         cmp = squares.compare_squares(squares.square_table(A),
-                                      squares.square_table(B), 1e-10)
+                                      squares.square_table(B))
         assert cmp.passed
+        assert cmp.worst <= 1e-10
 
     def test_dimension_mismatch(self):
         a = squares.square_table(core.SymmetricMatrix.from_array(np.diag([3.0, 1.0])))
         b = squares.square_table(
             core.SymmetricMatrix.from_array(np.diag([3.0, 2.0, 1.0])))
         with pytest.raises(ValueError, match="dimension"):
-            squares.compare_squares(a, b, 1e-8)
+            squares.compare_squares(a, b)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
+@pytest.mark.parametrize("c", [0.0, 0.7])
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_zero_and_scalar_matrices_have_no_simple_column(scale, c, n):
+    A = core.SymmetricMatrix.from_array(c * scale * np.eye(n))
+    if n == 1:
+        with pytest.raises(ValueError, match="n >= 2"):
+            squares.square_table(A)
+        return
+    t = squares.square_table(A)
+    assert t.simple == () and t.warnings == ()
+    assert np.all(np.isnan(t.table))

@@ -273,3 +273,43 @@ class TestProbePermutation:
         A = core.SymmetricMatrix.from_array(np.diag([2.0, 2.0, 1.0]))
         with pytest.raises(ValueError, match="simple"):
             verify.probe_permutation_conjecture(A, A, 0)
+
+
+class TestScaleFreeThresholds:
+    """Eigenvalue thresholds and default shifts are stated in the pair's
+    unit, so a verdict does not depend on the units of the matrices."""
+
+    def test_relabelled_pairs_keep_their_verdicts(self):
+        # Spectra and deck verdicts need no shifts at scale 1; the scaled
+        # runs use the default shifts, which once ended in BracketError.
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            a = random_symmetric(rng, 6).entries
+            perm = rng.permutation(6)
+            b = a[np.ix_(perm, perm)]
+            verdicts = []
+            for scale, t_samples in [(1.0, (-0.5,)), (1e10, None), (4.0 ** 17, None)]:
+                report = verify.verify_gm(core.SymmetricMatrix.from_array(scale * a),
+                                          core.SymmetricMatrix.from_array(scale * b),
+                                          multiset_deck=True, t_samples=t_samples)
+                verdicts.append((report.spectra_equal, report.deck_equal))
+            assert verdicts == [(True, True)] * 3
+
+    def test_perturbed_pair_fails_at_small_scale(self):
+        A = random_symmetric(np.random.default_rng(10), 5)
+        bumped = A.entries.copy()
+        bumped[0, 0] += 1e-3
+        report = verify.verify_gm(core.SymmetricMatrix.from_array(1e-12 * A.entries),
+                                  core.SymmetricMatrix.from_array(1e-12 * bumped))
+        assert not report.spectra_equal
+        assert not report.passed
+
+    def test_threshold_and_default_shifts_follow_the_pair(self):
+        A = random_symmetric(np.random.default_rng(3), 4)
+        big = core.SymmetricMatrix.from_array(np.ldexp(A.entries, 40))
+        assert verify.value_tol(A, A) == verify.VALUE_TOL
+        assert verify.value_tol(A, big) == np.ldexp(verify.VALUE_TOL, 40)
+        shifts = [r.t for r in verify.verify_theorem_main(big, big)]
+        assert shifts == list(np.ldexp(verify.DEFAULT_T_SAMPLES, 40))
+        # Given shifts are input, not a tolerance: they stay absolute.
+        assert [r.t for r in verify.verify_theorem_main(big, big, (-0.5,))] == [-0.5]
