@@ -13,6 +13,7 @@ bisection brackets and the interlacing ordering of roots and poles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +110,7 @@ def secular_eval(sys: SecularSystem, lam: float) -> float:
 def _bisect(f, lo: float, hi: float, f_lo: float, unit: float) -> float:
     # f_lo carries the sign of f at lo; f is monotone on (lo, hi).
     for _ in range(MAX_BISECT):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # halves first: lo + hi can overflow
         if hi - lo <= ROOT_WIDTH_TOL * max(unit, abs(mid)) or mid in (lo, hi):
             return mid
         f_mid = f(mid)
@@ -143,10 +144,58 @@ def _open_at_pole(f, pole: float, side: int, limit: float,
     raise BracketError(f"could not open a bracket at pole y = {pole}")
 
 
+def _reflect(sys: SecularSystem):
+    """s = sign(-t), the active poles in y = s*lambda (descending) and P_t in y."""
+    if sys.t == 0.0:
+        raise ValueError("t = 0 has no secular roots")
+    if not sys.active:
+        raise ValueError("active set is empty, nothing to solve")
+    s = 1.0 if sys.t < 0.0 else -1.0
+
+    def f(y: float) -> float:
+        return secular_eval(sys, s * y)
+
+    return s, np.sort(s * sys.active_poles)[::-1], f
+
+
 # Next to a pole a term of P_t can pass the float range (a zero matrix at
 # 1e300, say, where the offsets stay absolute); the inf keeps the sign that
 # every bracket decision reads.
 @np.errstate(over="ignore")
+def _bracket_root(f, poles: np.ndarray, j: int, cap: float) -> float:
+    """The root of f in (poles[j + 1], poles[j]), or below poles[-1] for the last j.
+
+    f is P_t in y with poles ``poles`` (descending) and a negative scale;
+    ``cap`` is the reach of the roots. A root that is not finite (the lowest
+    bracket opened past the float range) raises BracketError.
+    """
+    unit = min(1.0, cap)
+    hi, f_hi = _open_at_pole(
+        f, poles[j], -1, poles[j + 1] if j + 1 < len(poles) else -np.inf, unit,
+    )
+    if j + 1 < len(poles):
+        lo, f_lo = _open_at_pole(f, poles[j + 1], +1, poles[j], unit)
+    else:
+        lo = poles[-1] - cap
+        f_lo = f(lo)
+        for _ in range(80):
+            if f_lo > 0.0:
+                break
+            lo -= cap
+            f_lo = f(lo)
+    if f_lo == 0.0:
+        root = lo
+    elif f_hi == 0.0:
+        root = hi
+    elif (f_lo > 0.0) == (f_hi > 0.0):
+        raise BracketError(f"no sign change on bracket for root {j} in y")
+    else:
+        root = _bisect(f, lo, hi, f_lo, unit)
+    if not math.isfinite(root):
+        raise BracketError(f"root {j} in y is not finite: {root}")
+    return root
+
+
 def secular_roots(sys: SecularSystem) -> np.ndarray:
     """All roots of P_t over the active poles, sorted descending.
 
@@ -162,42 +211,9 @@ def secular_roots(sys: SecularSystem) -> np.ndarray:
     the roots, so they scale with the system below unit scale. BracketError
     messages name poles and roots (counted descending) in y.
     """
-    if sys.t == 0.0:
-        raise ValueError("t = 0 has no secular roots")
-    if not sys.active:
-        raise ValueError("active set is empty, nothing to solve")
-    s = 1.0 if sys.t < 0.0 else -1.0
-    poles = np.sort(s * sys.active_poles)[::-1]  # descending in y
-
-    def f(y: float) -> float:
-        return secular_eval(sys, s * y)
-
-    unit = min(1.0, sys.cap)
-    roots = []
-    # One root in each (pole_{j+1}, pole_j), one in (-inf, pole_last).
-    for j in range(len(poles)):
-        hi, f_hi = _open_at_pole(
-            f, poles[j], -1, poles[j + 1] if j + 1 < len(poles) else -np.inf, unit,
-        )
-        if j + 1 < len(poles):
-            lo, f_lo = _open_at_pole(f, poles[j + 1], +1, poles[j], unit)
-        else:
-            lo = poles[-1] - sys.cap
-            f_lo = f(lo)
-            for _ in range(80):
-                if f_lo > 0.0:
-                    break
-                lo -= sys.cap
-                f_lo = f(lo)
-        if f_lo == 0.0:
-            roots.append(lo)
-            continue
-        if f_hi == 0.0:
-            roots.append(hi)
-            continue
-        if (f_lo > 0.0) == (f_hi > 0.0):
-            raise BracketError(f"no sign change on bracket for root {j} in y")
-        roots.append(_bisect(f, lo, hi, f_lo, unit))
+    s, poles, f = _reflect(sys)
+    cap = sys.cap
+    roots = [_bracket_root(f, poles, j, cap) for j in range(len(poles))]
     if s < 0.0:
         roots.reverse()
     return s * np.array(roots)
@@ -224,6 +240,37 @@ class UpdateResult:
         return self.eigenvalues.values
 
 
+def _retained(spec: Spectrum, sys: SecularSystem) -> list[int]:
+    """Indices (ascending) of the eigenvalues the update passes through unchanged."""
+    active_set = set(sys.active)
+    return [i for k, cluster in enumerate(spec.clusters)
+            for i in (cluster[1:] if k in active_set else cluster)]
+
+
+# A difference pole - mu past the float range gives a zero coefficient, which
+# is right to float precision; a vector that is not finite raises instead.
+@np.errstate(over="ignore", invalid="ignore")
+def _root_vectors(basis: EigenBasis, sys: SecularSystem, roots) -> np.ndarray:
+    """Unit eigenvectors (columns) of A + t*x*x^T for the given roots.
+
+    Each is sum over active i of p_i * q_i / (lambda_i - mu), normalized,
+    with the sign of ``canonical_column_signs``.
+    """
+    clusters = basis.spectrum.clusters
+    active_indices = [i for k in sys.active for i in clusters[k]]
+    pole_of = np.array([sys.poles[k] for k in sys.active for _ in clusters[k]])
+    q_active = sys.q[active_indices]
+    p_active = basis.vectors[:, active_indices]
+    coefs = [q_active / (pole_of - mu) for mu in roots]
+    # An exact power-of-two rescale keeps the norm in range.
+    vs = [p_active @ np.ldexp(c, -np.frexp(np.max(np.abs(c)))[1]) for c in coefs]
+    vectors = canonical_column_signs(
+        np.column_stack([v / np.linalg.norm(v) for v in vs]))
+    if not np.all(np.isfinite(vectors)):
+        raise BracketError("a root eigenvector is not finite")
+    return vectors
+
+
 def rank1_update(basis: EigenBasis, x, t: float) -> UpdateResult:
     """Full eigenvalue set of A + t*x*x^T, with eigenvectors for new roots.
 
@@ -236,30 +283,16 @@ def rank1_update(basis: EigenBasis, x, t: float) -> UpdateResult:
     sys = build_secular(basis, x, t)
     spec = basis.spectrum
 
-    entries: list[tuple[float, tuple[str, int], np.ndarray | None]] = []
-    active_set = set(sys.active)
-    retained_values = []
-    for k, cluster in enumerate(spec.clusters):
-        keep = list(cluster[1:]) if k in active_set else list(cluster)
-        for i in keep:
-            entries.append((float(spec.values[i]), ("retained", i), None))
-            retained_values.append(float(spec.values[i]))
+    retained = _retained(spec, sys)
+    retained_values = [float(spec.values[i]) for i in retained]
+    entries: list[tuple[float, tuple[str, int], np.ndarray | None]] = [
+        (v, ("retained", i), None) for v, i in zip(retained_values, retained)]
 
     warnings: list[Diagnostic] = []
     if sys.active:
         roots = secular_roots(sys)
-        active_indices = [i for k in sys.active for i in spec.clusters[k]]
-        pole_of = np.array(
-            [sys.poles[k] for k in sys.active for _ in spec.clusters[k]]
-        )
-        q_active = sys.q[active_indices]
-        p_active = basis.vectors[:, active_indices]
         near_tol = NEAR_DEGENERATE_TOL * max(spec.spread, min(1.0, sys.cap))
-        coefs = [q_active / (pole_of - mu) for mu in roots]
-        # An exact power-of-two rescale keeps the norm in range.
-        vs = [p_active @ np.ldexp(c, -np.frexp(np.max(np.abs(c)))[1]) for c in coefs]
-        vectors = canonical_column_signs(
-            np.column_stack([v / np.linalg.norm(v) for v in vs]))
+        vectors = _root_vectors(basis, sys, roots)
         for j, mu in enumerate(roots):
             if retained_values and min(abs(mu - r) for r in retained_values) < near_tol:
                 warnings.append(Diagnostic("near_degenerate", j, float(mu)))
@@ -269,6 +302,32 @@ def rank1_update(basis: EigenBasis, x, t: float) -> UpdateResult:
     values = np.array([e[0] for e in entries])
     return UpdateResult(cluster_spectrum(values), tuple(e[1] for e in entries),
                         tuple(e[2] for e in entries), tuple(warnings), sys)
+
+
+def lowest_update_pair(basis: EigenBasis, x,
+                       t: float) -> tuple[float, np.ndarray | None]:
+    """``rank1_update(basis, x, t)``'s ``values[-1]`` and ``vectors[-1]``, bit for bit.
+
+    Only the bracket of the lowest root is solved: in y = s*lambda with
+    s = sign(-t) that is the last bracket for t < 0 and the first for t > 0.
+    The vector is None when the lowest value is retained (t = 0, or a
+    retained value below the root); on a tie the root wins, as in the stable
+    sort of ``rank1_update``.
+    """
+    sys = build_secular(basis, x, t)
+    spec = basis.spectrum
+    retained = _retained(spec, sys)
+    # Ascending indices of a descending spectrum: the last is the lowest, and
+    # the last of equal values, as the stable sort orders them.
+    low = float(spec.values[retained[-1]]) if retained else math.inf
+    if not sys.active:
+        return low, None
+    s, poles, f = _reflect(sys)
+    j = len(poles) - 1 if s > 0.0 else 0
+    mu = float(s * _bracket_root(f, poles, j, sys.cap))
+    if low < mu:
+        return low, None
+    return mu, _root_vectors(basis, sys, [mu])[:, 0].copy()
 
 
 @dataclass(frozen=True)

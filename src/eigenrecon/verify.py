@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (EigenBasis, Spectrum, SymmetricMatrix, deck, eigh_stack,
                    scale_exponent)
-from .secular import rank1_update
+from .secular import lowest_update_pair
 from .squares import SquareComparison, compare_squares, square_table_from_deck
 
 SIGN_TOL_SCALE = 1e-10
@@ -118,7 +118,12 @@ def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix,
     """Lowest eigenpair of A + t*J and B + t*J across sampled shifts.
 
     Each sample also cross-checks the direct eigendecomposition of A + t*J
-    against the secular-equation path through rank1_update(basis of A, 1, t).
+    against the secular equation on the basis of A. ``lowest_update_pair``
+    gives the ``values[-1]`` and ``vectors[-1]`` of
+    ``rank1_update(basis of A, 1, t)`` bit for bit, but solves only the
+    bracket of the lowest root and builds only its vector, so only that
+    bracket can raise BracketError. With t = 0, or a retained eigenvalue of
+    A below the root, there is no secular vector and ``secular_angle`` is NaN.
     Given shifts are absolute; by default DEFAULT_T_SAMPLES in the pair's
     unit (see ``value_tol``) are used.
     """
@@ -143,9 +148,7 @@ def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix,
         va = shifted_a.vectors[:, -1]
         vb = shifted_b.vectors[:, -1]
 
-        upd = rank1_update(basis_a, ones, float(t))
-        sec_low = float(upd.values[-1])
-        sec_vec = upd.vectors[-1]
+        sec_low, sec_vec = lowest_update_pair(basis_a, ones, float(t))
         sec_angle = principal_angle(va, sec_vec) if sec_vec is not None else math.nan
         records.append(TheoremMainSample(
             t=float(t),

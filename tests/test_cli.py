@@ -345,3 +345,28 @@ def test_eig_near_float_max(matrix_file, capsys):
     payload = json.loads(out, parse_constant=reject)
     assert code == 0
     assert payload["eigenvalues"] == {"values": [1e308, 5e307], "clusters": [[0], [1]]}
+
+
+def test_rank1_near_float_max(matrix_file, capsys):
+    # The bisection midpoint used to overflow here and print Infinity.
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    code, out = run(capsys, "rank1", matrix_file("a.txt", "1\n1e308\n"),
+                    "--x", "ones", "--t", "1e300")
+    payload = json.loads(out, parse_constant=reject)
+    assert code == 0
+    assert payload["eigenvalues"][0]["value"] == pytest.approx(1.00000001e308, rel=1e-13)
+    assert payload["vectors"] == [[1.0]]
+
+
+def test_rank1_non_finite_root_exits_3(matrix_file, capsys):
+    # The eigenvalues are finite, but a secular bracket opens past the float
+    # range: one error line instead of Infinity and NaN with exit 0.
+    a = matrix_file("a.txt", "2\n1e308 0\n0 -1e308\n")
+    code = cli.main(["rank1", a, "--x", "ones", "--t=1e300"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "not finite" in captured.err

@@ -69,3 +69,23 @@ def test_two_matrix_checks_solve_one_stack(monkeypatch, check):
         second = B.entries
     assert len(stacks) == 1
     assert np.array_equal(stacks[0], [A.entries, second])
+
+
+def test_theorem_main_solves_one_bracket_per_nonzero_shift(monkeypatch):
+    # Only the bracket of the lowest root of A + tJ: the last in y for t < 0,
+    # the first for t > 0, none for t = 0; rank1_update is never called.
+    brackets = []
+    original = secular._bracket_root
+
+    def counting_bracket_root(f, poles, j, cap):
+        brackets.append((j, len(poles)))
+        return original(f, poles, j, cap)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("theorem-main called rank1_update")
+
+    monkeypatch.setattr(secular, "_bracket_root", counting_bracket_root)
+    monkeypatch.setattr(secular, "rank1_update", forbidden)
+    A, B = random_symmetric(10, 5), random_symmetric(11, 5)
+    verify.verify_theorem_main(A, B, (-0.75, 0.0, 0.5, -0.25))
+    assert brackets == [(4, 5), (0, 5), (4, 5)]

@@ -290,6 +290,102 @@ class TestRank1Update:
             assert np.all(np.diff(seq) < 0)
 
 
+    def test_bisection_midpoint_near_float_max(self):
+        # (lo + hi) / 2 would overflow on this bracket; the halves do not.
+        for sign in (1.0, -1.0):
+            basis = core.eigh(core.SymmetricMatrix.from_array([[sign * 1e308]]))
+            r = secular.rank1_update(basis, np.ones(1), sign * 1e300)
+            assert r.values[0] == pytest.approx(sign * 1.00000001e308, rel=1e-13)
+            np.testing.assert_array_equal(r.vectors[0], [1.0])
+
+    def test_root_past_float_max_raises_bracket_error(self):
+        # The true eigenvalues of diag(1e308, -1e308) + 1e300 * J are finite,
+        # but the bracket below the lowest pole in y opens past -inf.
+        basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([1e308, -1e308])))
+        for t in (1e300, -1e300):
+            with pytest.raises(secular.BracketError, match="root 1 in y is not finite"):
+                secular.rank1_update(basis, np.ones(2), t)
+
+    def test_non_finite_vector_raises_bracket_error(self):
+        basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([1.0, -1.0])))
+        sys = secular.build_secular(basis, np.ones(2), 0.5)
+        with pytest.raises(secular.BracketError, match="eigenvector is not finite"):
+            secular._root_vectors(basis, sys, [math.inf])
+
+
+def zero_one_graph(rng, n, kind):
+    """A random graph, the cycle C_n or the complete graph K_n."""
+    if kind == "random":
+        m = np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
+    elif kind == "cycle":
+        m = np.eye(n, k=1) + np.eye(n, k=1 - n) if n > 2 else np.eye(n, k=1)
+    else:
+        m = np.triu(np.ones((n, n)), 1)
+    return m + m.T
+
+
+def same_float(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestLowestUpdatePair:
+    """The theorem-main path: one bracket, bit for bit rank1_update's lowest pair."""
+
+    @pytest.mark.parametrize("scale", [4.0 ** -20, 1.0, 4.0 ** 20])
+    def test_matches_rank1_update(self, scale):
+        rng = np.random.default_rng(70)
+        kinds = {"root": 0, "retained": 0}
+        for k in range(40):
+            n = int(rng.integers(1, 8))
+            kind = ("uniform", "random", "cycle", "complete")[k % 4]
+            m = (rng.uniform(-1, 1, (n, n)) if kind == "uniform"
+                 else zero_one_graph(rng, n, kind))
+            basis = core.eigh(core.SymmetricMatrix.from_array(scale * (m + m.T) / 2))
+            x = np.ones(n) if k % 8 < 4 else rng.uniform(-1, 1, n)
+            for t in (-0.75, -1 / 16, 0.0, 0.5):
+                full = secular.rank1_update(basis, x, t * scale)
+                value, vector = secular.lowest_update_pair(basis, x, t * scale)
+                assert same_float(value, full.values[-1])
+                if full.vectors[-1] is None:
+                    assert vector is None
+                else:
+                    assert vector.tobytes() == full.vectors[-1].tobytes()
+                if t != 0.0:
+                    kinds[full.origins[-1][0]] += 1
+        # Both outcomes occur: deflated and repeated lowest eigenvalues of the
+        # graphs are retained below the root.
+        assert min(kinds.values()) >= 20
+
+    def test_t_zero_is_retained(self):
+        basis = swap_basis()
+        value = basis.spectrum.values[-1]
+        assert secular.lowest_update_pair(basis, np.ones(2), 0.0) == (value, None)
+
+    def test_tie_goes_to_the_root(self):
+        # A deflated eigenvalue placed exactly on the lowest root of the
+        # undeflated update: the stable sort of rank1_update puts the root last.
+        x = np.array([1.0, 1.0, 0.0])
+        two = core.eigh(core.SymmetricMatrix.from_array(np.diag([1.0, -1.0])))
+        mu, _ = secular.lowest_update_pair(two, x[:2], 0.5)
+        basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([1.0, -1.0, mu])))
+        full = secular.rank1_update(basis, x, 0.5)
+        assert sorted(full.values[-2:]) == [mu, mu]
+        assert full.origins[-1][0] == "root"
+        value, vector = secular.lowest_update_pair(basis, x, 0.5)
+        assert value == mu
+        assert vector.tobytes() == full.vectors[-1].tobytes()
+
+    def test_other_brackets_are_not_solved(self):
+        # rank1_update fails on the bracket that opens past -inf; the lowest
+        # root for t > 0 lies in the other one, between the poles.
+        basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([1e308, -1e308])))
+        with pytest.raises(secular.BracketError):
+            secular.rank1_update(basis, np.ones(2), 1e300)
+        value, vector = secular.lowest_update_pair(basis, np.ones(2), 1e300)
+        assert value == pytest.approx(-1e308 + 1e300, rel=1e-13)
+        np.testing.assert_allclose(vector, [0.0, 1.0], atol=1e-8)
+
+
 class TestDetIdentity:
     def test_t_zero(self):
         rep = secular.verify_det_identity(
