@@ -286,8 +286,7 @@ def eigh_stack(matrices) -> list[EigenBasis]:
 
     Each result is bit-identical to ``eigh`` of that matrix alone.
     """
-    a, p = _jacobi(np.stack([M.entries for M in matrices]))
-    return [_basis(a[r], p[r]) for r in range(len(a))]
+    return _solve_stack((), matrices)[1]
 
 
 @dataclass(frozen=True)
@@ -316,27 +315,11 @@ def check_interlacing(parent: Spectrum, card: Spectrum) -> bool:
     return bool(np.all(lam[:-1] + slack >= mu) and np.all(mu + slack >= lam[1:]))
 
 
-def deck(A: SymmetricMatrix) -> SpectralDeck:
-    """Spectra of all n one-vertex-deleted submatrices, in index order.
-
-    Each card is checked against the parent spectrum for Cauchy interlacing;
-    a violation means the eigensolver went wrong, not the input.
-    """
-    n = A.n
-    if n < 2:
-        raise ValueError("deck requires n >= 2")
-    # A itself, then each card A.delete(m) in the top-left corner of an n x n
-    # zero matrix, which _jacobi rotates exactly as eigh(A.delete(m)) would.
-    q = np.arange(n - 1)
-    keep = q + (q >= np.arange(n)[:, None])  # row m: the indices other than m
-    stack = np.zeros((n + 1, n, n))
-    stack[0] = A.entries
-    stack[1:, :-1, :-1] = A.entries[keep[:, :, None], keep[:, None, :]]
-    a, p = _jacobi(stack)
-    parent = _basis(a[0], p[0])
+def _checked_deck(parent: EigenBasis, solved_cards: np.ndarray) -> SpectralDeck:
+    """The deck whose padded cards ``_jacobi`` diagonalised, checked against parent."""
     cards = []
-    for m in range(n):
-        diag = np.diag(a[m + 1])[:-1]
+    for m, a in enumerate(solved_cards):
+        diag = np.diag(a)[:-1]
         card = cluster_spectrum(diag[np.argsort(-diag, kind="stable")])
         if not check_interlacing(parent.spectrum, card):
             raise ConvergenceError(f"deck card {m} violates Cauchy interlacing")
@@ -344,15 +327,40 @@ def deck(A: SymmetricMatrix) -> SpectralDeck:
     return SpectralDeck(tuple(cards), parent)
 
 
-def char_poly_eval(spec: Spectrum, lam: float) -> float:
-    """det(lam*I - M) = prod_k (lam - lambda_k), monic convention."""
-    return float(np.prod(lam - spec.values))
+def _solve_stack(decked, plain) -> tuple[list[SpectralDeck], list[EigenBasis]]:
+    """The decks of ``decked`` and the bases of ``plain``, from one ``_jacobi`` call.
+
+    The stack holds each matrix of ``decked`` followed by its cards, each
+    card A.delete(m) in the top-left corner of an n x n zero matrix, which
+    _jacobi rotates exactly as eigh(A.delete(m)) would; then ``plain``. All
+    matrices have one size n, so each result is bit-identical to ``deck`` or
+    ``eigh`` of that matrix alone.
+    """
+    n = (decked or plain)[0].n
+    if decked and n < 2:
+        raise ValueError("deck requires n >= 2")
+    q = np.arange(n - 1)
+    keep = q + (q >= np.arange(n)[:, None])  # row m: the indices other than m
+    blocks = []
+    for M in decked:
+        cards = np.zeros((n, n, n))
+        cards[:, :-1, :-1] = M.entries[keep[:, :, None], keep[:, None, :]]
+        blocks += [M.entries[None], cards]
+    blocks += [M.entries[None] for M in plain]
+    a, p = _jacobi(np.concatenate(blocks))
+    tail = len(decked) * (n + 1)
+    decks = [_checked_deck(_basis(a[r], p[r]), a[r + 1:r + n + 1])
+             for r in range(0, tail, n + 1)]
+    return decks, [_basis(a[r], p[r]) for r in range(tail, len(a))]
 
 
-def char_poly_derivative_eval(spec: Spectrum, lam: float) -> float:
-    """d/dlam of det(lam*I - M), as the sum of leave-one-out products."""
-    return sum(float(np.prod(np.delete(lam - spec.values, k)))
-               for k in range(len(spec.values)))
+def deck(A: SymmetricMatrix) -> SpectralDeck:
+    """Spectra of all n one-vertex-deleted submatrices, in index order.
+
+    Each card is checked against the parent spectrum for Cauchy interlacing;
+    a violation means the eigensolver went wrong, not the input.
+    """
+    return _solve_stack([A], ())[0][0]
 
 
 # --- matrix text format -----------------------------------------------------

@@ -304,30 +304,166 @@ def rank1_update(basis: EigenBasis, x, t: float) -> UpdateResult:
                         tuple(e[2] for e in entries), tuple(warnings), sys)
 
 
-def lowest_update_pair(basis: EigenBasis, x,
-                       t: float) -> tuple[float, np.ndarray | None]:
-    """``rank1_update(basis, x, t)``'s ``values[-1]`` and ``vectors[-1]``, bit for bit.
+def _open_at_poles(f, rows, pole, side: int, limit,
+                   unit) -> tuple[np.ndarray, np.ndarray]:
+    """``_open_at_pole`` for the brackets ``rows`` in lockstep.
 
-    Only the bracket of the lowest root is solved: in y = s*lambda with
-    s = sign(-t) that is the last bracket for t < 0 and the first for t > 0.
-    The vector is None when the lowest value is retained (t = 0, or a
-    retained value below the root); on a tie the root wins, as in the stable
-    sort of ``rank1_update``.
+    Returns the points and the values of f there; a bracket that does not
+    open keeps NaN in both.
     """
-    sys = build_secular(basis, x, t)
+    off = POLE_OFFSET_SCALE * np.maximum(unit, np.abs(pole))
+    point = np.full(len(rows), np.nan)
+    value = np.full(len(rows), np.nan)
+    live = np.ones(len(rows), dtype=bool)
+    for _ in range(80):
+        trial = pole + side * off
+        live &= trial != pole
+        b = np.flatnonzero(live & ((trial < limit) if side > 0 else (trial > limit)))
+        v = f(rows[b], trial[b])
+        ok = (v == 0.0) | ((v > 0.0) == (side > 0))
+        b, v = b[ok], v[ok]
+        point[b], value[b] = trial[b], v
+        live[b] = False
+        if not live.any():
+            break
+        off *= 0.5
+    return point, value
+
+
+def _bisect_all(f, rows, lo, hi, f_lo, unit) -> tuple[np.ndarray, np.ndarray]:
+    """``_bisect`` for the brackets ``rows`` in lockstep: roots and a converged mask."""
+    lo, hi = lo.copy(), hi.copy()
+    root = np.full(len(rows), np.nan)
+    live = np.ones(len(rows), dtype=bool)
+    for _ in range(MAX_BISECT):
+        b = np.flatnonzero(live)
+        if not b.size:
+            break
+        mid = 0.5 * lo[b] + 0.5 * hi[b]
+        done = ((hi[b] - lo[b] <= ROOT_WIDTH_TOL * np.maximum(unit[b], np.abs(mid)))
+                | (mid == lo[b]) | (mid == hi[b]))
+        root[b[done]] = mid[done]
+        live[b[done]] = False
+        b, mid = b[~done], mid[~done]
+        f_mid = f(rows[b], mid)
+        zero = f_mid == 0.0
+        root[b[zero]] = mid[zero]
+        live[b[zero]] = False
+        up = (f_mid > 0.0) == (f_lo[b] > 0.0)
+        lo[b[up]] = mid[up]
+        hi[b[~up]] = mid[~up]
+    return root, ~live
+
+
+@np.errstate(over="ignore")
+def _bracket_roots(sys: SecularSystem, t: np.ndarray, upper: np.ndarray,
+                   lower: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``_bracket_root`` for one bracket per shift t[b], all in lockstep, in y.
+
+    The shifts share the active poles and weights of ``sys``, whose own t is
+    not read. Bracket b holds root j[b] of P_t[b] in y = s*lambda with
+    s = sign(-t[b]): it lies below the pole upper[b] and above the pole
+    lower[b], or, where lower[b] is -inf, below upper[b], the lowest pole.
+    Each bracket takes the steps ``_bracket_root`` takes for it alone, with
+    the same floating-point operations, so its root is bit-identical; cap
+    and unit are those of its shift. A bracket that fails drops out, and
+    once the rest are solved the first failure raises ``_bracket_root``'s
+    BracketError.
+    """
+    s = np.where(t < 0.0, 1.0, -1.0)
+    cap = np.abs(t) * float(np.sum(sys.active_weights)) + sys.lambdas.spread
+    unit = np.minimum(1.0, cap)
+    tw = t[:, None] * sys.active_weights
+
+    def f(rows, y):
+        # secular_eval at lambda = s*y, one row per bracket.
+        lam = (s[rows] * y)[:, None]
+        at_pole = np.any(sys.active_poles == lam, axis=1)
+        if at_pole.any():
+            raise ZeroDivisionError(
+                f"evaluation at active pole lambda={lam[at_pole][0, 0]}")
+        return 1.0 + np.sum(tw[rows] / (sys.active_poles - lam), axis=1)
+
+    errors = {}
+    hi, f_hi = _open_at_poles(f, np.arange(len(t)), upper, -1, lower, unit)
+    ok = ~np.isnan(hi)
+    for b in np.flatnonzero(~ok):
+        errors[b] = f"could not open a bracket at pole y = {upper[b]}"
+    lo, f_lo = np.full(len(t), np.nan), np.full(len(t), np.nan)
+    rows = np.flatnonzero(ok & (lower > -np.inf))
+    lo[rows], f_lo[rows] = _open_at_poles(f, rows, lower[rows], +1, upper[rows],
+                                          unit[rows])
+    for b in rows[np.isnan(lo[rows])]:
+        ok[b] = False
+        errors[b] = f"could not open a bracket at pole y = {lower[b]}"
+    walk = np.flatnonzero(ok & (lower == -np.inf))
+    lo[walk] = upper[walk] - cap[walk]
+    f_lo[walk] = f(walk, lo[walk])
+    for _ in range(80):
+        walk = walk[~(f_lo[walk] > 0.0)]
+        if not walk.size:
+            break
+        lo[walk] -= cap[walk]
+        f_lo[walk] = f(walk, lo[walk])
+
+    root = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, np.nan))
+    split = ok & (f_lo != 0.0) & (f_hi != 0.0)
+    for b in np.flatnonzero(split & ((f_lo > 0.0) == (f_hi > 0.0))):
+        errors[b] = f"no sign change on bracket for root {j[b]} in y"
+    rows = np.flatnonzero(split & ((f_lo > 0.0) != (f_hi > 0.0)))
+    root[rows], converged = _bisect_all(f, rows, lo[rows], hi[rows], f_lo[rows],
+                                        unit[rows])
+    for b in rows[~converged]:
+        errors[b] = "bisection failed to converge within iteration cap"
+    for b in np.flatnonzero(~np.isfinite(root)):
+        errors.setdefault(b, f"root {j[b]} in y is not finite: {root[b]}")
+    if errors:
+        raise BracketError(errors[min(errors)])
+    return root
+
+
+def lowest_update_pairs(basis: EigenBasis, x,
+                        ts) -> list[tuple[float, np.ndarray | None]]:
+    """``rank1_update(basis, x, t)``'s ``values[-1]`` and ``vectors[-1]`` per t, bit for bit.
+
+    The active set depends on t only through t != 0, so one projection
+    serves every shift. Only the bracket of each lowest root is solved, all
+    in one ``_bracket_roots`` call: in y = s*lambda with s = sign(-t) that
+    is the last bracket for t < 0 and the first for t > 0. For t > 0 that
+    root lies above the lowest active pole, so a retained value at or below
+    the pole is the lowest and the bracket is skipped. The vector is None
+    when the lowest value is retained (t = 0, or a retained value below the
+    root); on a tie the root wins, as in the stable sort of
+    ``rank1_update``. The root vectors come from one ``_root_vectors`` call.
+    """
+    ts = np.array(ts, dtype=float)
+    if not np.all(np.isfinite(ts)):
+        raise ValueError(f"t must be finite, got {ts[~np.isfinite(ts)][0]}")
+    nonzero = ts[ts != 0.0]
+    sys = build_secular(basis, x, nonzero[0] if nonzero.size else 0.0)
     spec = basis.spectrum
     retained = _retained(spec, sys)
     # Ascending indices of a descending spectrum: the last is the lowest, and
     # the last of equal values, as the stable sort orders them.
     low = float(spec.values[retained[-1]]) if retained else math.inf
+    pairs = [(float(spec.values[-1]) if t == 0.0 else low, None) for t in ts]
     if not sys.active:
-        return low, None
-    s, poles, f = _reflect(sys)
-    j = len(poles) - 1 if s > 0.0 else 0
-    mu = float(s * _bracket_root(f, poles, j, sys.cap))
-    if low < mu:
-        return low, None
-    return mu, _root_vectors(basis, sys, [mu])[:, 0].copy()
+        return pairs
+    lowest = np.sort(sys.active_poles)[:2]  # the lowest active pole, then the next
+    solve = np.flatnonzero((ts < 0.0) | ((ts > 0.0) & (low > lowest[0])))
+    t = ts[solve]
+    s = np.where(t < 0.0, 1.0, -1.0)
+    # In y the bracket lies below s*lowest[0]; for t > 0 it lies above
+    # -lowest[1] when there is a second active pole.
+    second = -lowest[1] if len(lowest) > 1 else -np.inf
+    mu = s * _bracket_roots(sys, t, s * lowest[0], np.where(s > 0.0, -np.inf, second),
+                            np.where(s > 0.0, len(sys.active) - 1, 0))
+    wins = np.flatnonzero(~(low < mu))
+    if wins.size:
+        vectors = _root_vectors(basis, sys, mu[wins])
+        for col, b in enumerate(wins):
+            pairs[solve[b]] = (float(mu[b]), vectors[:, col].copy())
+    return pairs
 
 
 @dataclass(frozen=True)

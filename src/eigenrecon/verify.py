@@ -17,9 +17,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (EigenBasis, Spectrum, SymmetricMatrix, deck, eigh_stack,
-                   scale_exponent)
-from .secular import lowest_update_pair
+from .core import (EigenBasis, Spectrum, SymmetricMatrix, _solve_stack,
+                   eigh_stack, scale_exponent)
+from .secular import lowest_update_pairs
 from .squares import SquareComparison, compare_squares, square_table_from_deck
 
 SIGN_TOL_SCALE = 1e-10
@@ -113,42 +113,38 @@ class TheoremMainSample:
         return {**asdict(self), "conclusive": self.conclusive}
 
 
-def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix,
-                        t_samples=None) -> list[TheoremMainSample]:
-    """Lowest eigenpair of A + t*J and B + t*J across sampled shifts.
-
-    Each sample also cross-checks the direct eigendecomposition of A + t*J
-    against the secular equation on the basis of A. ``lowest_update_pair``
-    gives the ``values[-1]`` and ``vectors[-1]`` of
-    ``rank1_update(basis of A, 1, t)`` bit for bit, but solves only the
-    bracket of the lowest root and builds only its vector, so only that
-    bracket can raise BracketError. With t = 0, or a retained eigenvalue of
-    A below the root, there is no secular vector and ``secular_angle`` is NaN.
-    Given shifts are absolute; by default DEFAULT_T_SAMPLES in the pair's
-    unit (see ``value_tol``) are used.
-    """
-    if A.n != B.n:
-        raise ValueError("dimension mismatch")
+def _shifts(A: SymmetricMatrix, B: SymmetricMatrix, t_samples):
+    """The theorem-main shifts: ``t_samples``, checked, or the pair's defaults."""
     if t_samples is None:
-        t_samples = np.ldexp(DEFAULT_T_SAMPLES, _unit_exponent(A, B))
+        return np.ldexp(DEFAULT_T_SAMPLES, _unit_exponent(A, B))
     if not len(t_samples):
         raise ValueError("t_samples must be nonempty")
     if not np.all(np.isfinite(t_samples)):
         raise ValueError("t_samples must be finite")
-    n = A.n
-    ones = np.ones(n)
-    J = np.outer(ones, ones)
-    shifted = [SymmetricMatrix.from_array(M.entries + t * J)
-               for t in t_samples for M in (A, B)]
-    basis_a, *solved = eigh_stack([A, *shifted])
+    return t_samples
+
+
+# An entry past the float range is inf, which SymmetricMatrix rejects.
+@np.errstate(over="ignore")
+def _shifted(A: SymmetricMatrix, B: SymmetricMatrix, shifts) -> list[SymmetricMatrix]:
+    """A + t*J and B + t*J for each shift t, in that order."""
+    J = np.ones((A.n, A.n))
+    return [SymmetricMatrix.from_array(M.entries + t * J)
+            for t in shifts for M in (A, B)]
+
+
+def _theorem_main(basis_a: EigenBasis, shifts,
+                  solved: list[EigenBasis]) -> list[TheoremMainSample]:
+    """The samples, from the basis of A and the solved ``_shifted`` matrices."""
+    n = basis_a.n
+    pairs = lowest_update_pairs(basis_a, np.ones(n), [float(t) for t in shifts])
     records = []
-    for t, shifted_a, shifted_b in zip(t_samples, solved[0::2], solved[1::2]):
+    for t, shifted_a, shifted_b, (sec_low, sec_vec) in zip(
+            shifts, solved[0::2], solved[1::2], pairs):
         low_a = float(shifted_a.spectrum.values[-1])
         low_b = float(shifted_b.spectrum.values[-1])
         va = shifted_a.vectors[:, -1]
         vb = shifted_b.vectors[:, -1]
-
-        sec_low, sec_vec = lowest_update_pair(basis_a, ones, float(t))
         sec_angle = principal_angle(va, sec_vec) if sec_vec is not None else math.nan
         records.append(TheoremMainSample(
             t=float(t),
@@ -160,6 +156,28 @@ def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix,
             secular_angle=sec_angle,
         ))
     return records
+
+
+def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix,
+                        t_samples=None) -> list[TheoremMainSample]:
+    """Lowest eigenpair of A + t*J and B + t*J across sampled shifts.
+
+    Each sample also cross-checks the direct eigendecomposition of A + t*J
+    against the secular equation on the basis of A. ``lowest_update_pairs``
+    gives the ``values[-1]`` and ``vectors[-1]`` of
+    ``rank1_update(basis of A, 1, t)`` bit for bit, but solves only the
+    bracket of each lowest root, all shifts in lockstep, and builds only
+    those roots' vectors, so only those brackets can raise BracketError.
+    With t = 0, or a retained eigenvalue of A below the root, there is no
+    secular vector and ``secular_angle`` is NaN. A and every A + t*J and
+    B + t*J are solved in one stack. Given shifts are absolute; by default
+    DEFAULT_T_SAMPLES in the pair's unit (see ``value_tol``) are used.
+    """
+    if A.n != B.n:
+        raise ValueError("dimension mismatch")
+    shifts = _shifts(A, B, t_samples)
+    basis_a, *solved = eigh_stack([A, *_shifted(A, B, shifts)])
+    return _theorem_main(basis_a, shifts, solved)
 
 
 @dataclass(frozen=True)
@@ -226,13 +244,16 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, *,
     pass ``multiset_deck=True`` to instead match cards as an unordered
     collection, the convention of classical graph reconstruction. Spectra,
     cards and theorem-main eigenvalues must agree within ``value_tol``;
-    ``t_samples`` is as for ``verify_theorem_main``.
+    ``t_samples`` is as for ``verify_theorem_main``, whose samples the
+    report holds bit for bit. One ``_jacobi`` call solves A, B, their cards
+    and every A + t*J and B + t*J, and the deck of A supplies the basis
+    that the theorem-main secular path starts from.
     """
     if A.n != B.n:
         raise ValueError("dimension mismatch")
     tol = value_tol(A, B)
-    deck_a = deck(A)
-    deck_b = deck(B)
+    shifts = _shifts(A, B, t_samples)
+    (deck_a, deck_b), solved = _solve_stack([A, B], _shifted(A, B, shifts))
     basis_a = deck_a.parent
     basis_b = deck_b.parent
     spectra_dev = _max_dev(basis_a.spectrum, basis_b.spectrum)
@@ -287,7 +308,7 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, *,
         dist = float(np.linalg.norm(ca.vector - cb.vector))
         signs.append({"index": i, "distance": dist, "pass": dist <= VECTOR_TOL})
 
-    theorem_main = tuple(verify_theorem_main(A, B, t_samples))
+    theorem_main = tuple(_theorem_main(basis_a, shifts, solved))
     return PairReport(A.n, tol, spectra_dev, deck_devs, multiset_devs,
                       squares, tuple(projections), tuple(signs), theorem_main)
 

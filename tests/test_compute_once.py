@@ -1,9 +1,9 @@
 """Each n x n decomposition is computed once per operation.
 
-Every solve goes through the kernel ``core._jacobi`` (``eigh``, ``deck`` and
-``eigh_stack`` all call it), so only the kernel is wrapped. Solved matrices
-are counted by their entries, so deck cards (zero-padded submatrices of A)
-do not count as A.
+Every solve goes through the kernel ``core._jacobi`` (``eigh``, ``deck``,
+``eigh_stack`` and ``verify_gm`` all call it), so only the kernel is
+wrapped. Solved matrices are counted by their entries, so deck cards
+(zero-padded submatrices of A) do not count as A.
 """
 
 import numpy as np
@@ -14,15 +14,20 @@ from eigenrecon import core, secular, squares, verify
 
 @pytest.fixture
 def solved(monkeypatch):
-    matrices = []
+    stacks = []
     original = core._jacobi
 
     def counting_jacobi(stack):
-        matrices.extend(stack.copy())
+        stacks.append(stack.copy())
         return original(stack)
 
     monkeypatch.setattr(core, "_jacobi", counting_jacobi)
-    return lambda target: sum(np.array_equal(m, target) for m in matrices)
+
+    def count(target):
+        return sum(np.array_equal(m, target) for stack in stacks for m in stack)
+
+    count.calls = stacks
+    return count
 
 
 def random_symmetric(seed, n):
@@ -37,15 +42,17 @@ def test_square_table_decomposes_matrix_once(solved):
 
 
 def test_verify_gm_decomposes_each_matrix_once(solved):
-    # A and B once each (from their decks), A once more in the theorem-main
-    # sweep, and A + tJ and B + tJ for every shift t.
+    # A and B once each, with their decks, and A + tJ and B + tJ for every
+    # shift t, all in one _jacobi call.
     A, B = random_symmetric(6, 5), random_symmetric(7, 5)
     t_samples = (-0.75, -0.5, -0.25)
     verify.verify_gm(A, B, t_samples=t_samples)
     J = np.ones((5, 5))
     shifted = [M.entries + t * J for t in t_samples for M in (A, B)]
     count = sum(solved(m) for m in [A.entries, B.entries, *shifted])
-    assert count == 3 + 2 * len(t_samples)
+    assert count == 2 + 2 * len(t_samples)
+    assert len(solved.calls) == 1
+    assert len(solved.calls[0]) == 2 * (5 + 1) + 2 * len(t_samples)
 
 
 @pytest.mark.parametrize("check", ["det-check", "probe-tau"])
@@ -73,19 +80,20 @@ def test_two_matrix_checks_solve_one_stack(monkeypatch, check):
 
 def test_theorem_main_solves_one_bracket_per_nonzero_shift(monkeypatch):
     # Only the bracket of the lowest root of A + tJ: the last in y for t < 0,
-    # the first for t > 0, none for t = 0; rank1_update is never called.
-    brackets = []
-    original = secular._bracket_root
+    # the first for t > 0, none for t = 0, all in one lockstep call;
+    # rank1_update is never called.
+    calls = []
+    original = secular._bracket_roots
 
-    def counting_bracket_root(f, poles, j, cap):
-        brackets.append((j, len(poles)))
-        return original(f, poles, j, cap)
+    def recording_bracket_roots(sys, t, upper, lower, j):
+        calls.append((tuple(t), tuple(j), len(sys.active_poles)))
+        return original(sys, t, upper, lower, j)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("theorem-main called rank1_update")
 
-    monkeypatch.setattr(secular, "_bracket_root", counting_bracket_root)
+    monkeypatch.setattr(secular, "_bracket_roots", recording_bracket_roots)
     monkeypatch.setattr(secular, "rank1_update", forbidden)
     A, B = random_symmetric(10, 5), random_symmetric(11, 5)
     verify.verify_theorem_main(A, B, (-0.75, 0.0, 0.5, -0.25))
-    assert brackets == [(4, 5), (0, 5), (4, 5)]
+    assert calls == [((-0.75, 0.5, -0.25), (4, 0, 4), 5)]

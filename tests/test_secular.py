@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eigenrecon import core, secular
+from oracles import char_poly_eval
 
 GOLDEN_ROOT_HI = (-1 + math.sqrt(5)) / 2
 GOLDEN_ROOT_LO = (-1 - math.sqrt(5)) / 2
@@ -329,12 +330,21 @@ def same_float(a, b) -> bool:
 
 
 class TestLowestUpdatePair:
-    """The theorem-main path: one bracket, bit for bit rank1_update's lowest pair."""
+    """The theorem-main path: one bracket per shift, bit for bit rank1_update's lowest pair."""
 
     @pytest.mark.parametrize("scale", [4.0 ** -20, 1.0, 4.0 ** 20])
-    def test_matches_rank1_update(self, scale):
+    def test_matches_rank1_update(self, scale, monkeypatch):
+        solved = []
+        original = secular._bracket_roots
+
+        def counting_bracket_roots(sys, t, *args):
+            solved.extend(t / scale)
+            return original(sys, t, *args)
+
+        monkeypatch.setattr(secular, "_bracket_roots", counting_bracket_roots)
         rng = np.random.default_rng(70)
         kinds = {"root": 0, "retained": 0}
+        shifts = (-0.75, -1 / 16, 0.0, 0.5)
         for k in range(40):
             n = int(rng.integers(1, 8))
             kind = ("uniform", "random", "cycle", "complete")[k % 4]
@@ -342,9 +352,9 @@ class TestLowestUpdatePair:
                  else zero_one_graph(rng, n, kind))
             basis = core.eigh(core.SymmetricMatrix.from_array(scale * (m + m.T) / 2))
             x = np.ones(n) if k % 8 < 4 else rng.uniform(-1, 1, n)
-            for t in (-0.75, -1 / 16, 0.0, 0.5):
+            pairs = secular.lowest_update_pairs(basis, x, [t * scale for t in shifts])
+            for t, (value, vector) in zip(shifts, pairs, strict=True):
                 full = secular.rank1_update(basis, x, t * scale)
-                value, vector = secular.lowest_update_pair(basis, x, t * scale)
                 assert same_float(value, full.values[-1])
                 if full.vectors[-1] is None:
                     assert vector is None
@@ -355,23 +365,27 @@ class TestLowestUpdatePair:
         # Both outcomes occur: deflated and repeated lowest eigenvalues of the
         # graphs are retained below the root.
         assert min(kinds.values()) >= 20
+        # Every t < 0 bracket is solved, no t = 0 one, and for t = 1/2 only
+        # the 21 of 40 where no retained value sits at or below the lowest
+        # active pole: in the other 19 the root could not be the lowest.
+        assert sorted(solved) == [-0.75] * 40 + [-1 / 16] * 40 + [0.5] * 21
 
     def test_t_zero_is_retained(self):
         basis = swap_basis()
         value = basis.spectrum.values[-1]
-        assert secular.lowest_update_pair(basis, np.ones(2), 0.0) == (value, None)
+        assert secular.lowest_update_pairs(basis, np.ones(2), [0.0]) == [(value, None)]
 
     def test_tie_goes_to_the_root(self):
         # A deflated eigenvalue placed exactly on the lowest root of the
         # undeflated update: the stable sort of rank1_update puts the root last.
         x = np.array([1.0, 1.0, 0.0])
         two = core.eigh(core.SymmetricMatrix.from_array(np.diag([1.0, -1.0])))
-        mu, _ = secular.lowest_update_pair(two, x[:2], 0.5)
+        [(mu, _)] = secular.lowest_update_pairs(two, x[:2], [0.5])
         basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([1.0, -1.0, mu])))
         full = secular.rank1_update(basis, x, 0.5)
         assert sorted(full.values[-2:]) == [mu, mu]
         assert full.origins[-1][0] == "root"
-        value, vector = secular.lowest_update_pair(basis, x, 0.5)
+        [(value, vector)] = secular.lowest_update_pairs(basis, x, [0.5])
         assert value == mu
         assert vector.tobytes() == full.vectors[-1].tobytes()
 
@@ -381,7 +395,7 @@ class TestLowestUpdatePair:
         basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([1e308, -1e308])))
         with pytest.raises(secular.BracketError):
             secular.rank1_update(basis, np.ones(2), 1e300)
-        value, vector = secular.lowest_update_pair(basis, np.ones(2), 1e300)
+        [(value, vector)] = secular.lowest_update_pairs(basis, np.ones(2), [1e300])
         assert value == pytest.approx(-1e308 + 1e300, rel=1e-13)
         np.testing.assert_allclose(vector, [0.0, 1.0], atol=1e-8)
 
@@ -399,7 +413,7 @@ class TestDetIdentity:
             sys = secular.build_secular(basis, np.ones(2), t)
             A = np.array([[0.0, 1.0], [1.0, 0.0]])
             lhs = np.linalg.det(0.0 * np.eye(2) - (A + t * np.ones((2, 2))))
-            rhs = core.char_poly_eval(basis.spectrum, 0.0) * \
+            rhs = char_poly_eval(basis.spectrum, 0.0) * \
                 secular.secular_eval(sys, 0.0)
             assert lhs == pytest.approx(-(1 + 2 * t), abs=1e-12)
             assert rhs == pytest.approx(lhs, abs=1e-12)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -153,6 +154,62 @@ class TestVerifyGm:
         for key in ("spectra_equal", "deck", "squares", "projections",
                     "signs", "theorem_main", "pass"):
             assert key in d
+
+
+def same_sample(x, y) -> bool:
+    """Field by field, bit for bit, with NaN equal to NaN."""
+    return all(np.float64(a).tobytes() == np.float64(b).tobytes()
+               for a, b in zip(astuple(x), astuple(y), strict=True))
+
+
+class TestSharedSolve:
+    """verify_gm solves everything in one stack; the results are those of the
+    standalone calls, bit for bit."""
+
+    @staticmethod
+    def pairs():
+        rng = np.random.default_rng(41)
+        for k in range(12):
+            n = 4 + k % 5
+            if k % 3 == 2:
+                a = np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
+                a += a.T
+            else:
+                a = random_symmetric(rng, n).entries
+            perm = rng.permutation(n)
+            b = a[np.ix_(perm, perm)]
+            if k % 3 == 1:
+                b = b + np.diag(1e-3 * rng.uniform(-1, 1, n))
+            scale = (4.0 ** -20, 1.0, 4.0 ** 20)[k % 3 if k < 6 else (k + 1) % 3]
+            yield (core.SymmetricMatrix.from_array(scale * a),
+                   core.SymmetricMatrix.from_array(scale * b))
+
+    def test_theorem_main_matches_standalone(self):
+        nan_angles = 0
+        for A, B in self.pairs():
+            report = verify.verify_gm(A, B)
+            alone = verify.verify_theorem_main(A, B)
+            assert len(report.theorem_main) == len(alone)
+            assert all(map(same_sample, report.theorem_main, alone))
+            nan_angles += sum(math.isnan(r.secular_angle) for r in alone)
+            decks = core.deck(A), core.deck(B)
+            assert report.deck_devs == tuple(
+                float(np.max(np.abs(ca.values - cb.values)))
+                for ca, cb in zip(*(d.card_spectra for d in decks)))
+        # The graph pairs have retained lowest eigenvalues: NaN is compared too.
+        assert nan_angles > 0
+
+    def test_bad_input_raises_as_standalone(self):
+        one = core.SymmetricMatrix.from_array([[1.0]])
+        with pytest.raises(ValueError, match="deck requires n >= 2"):
+            verify.verify_gm(one, one)
+        A = path_graph(3)
+        for t_samples, message in [((), "nonempty"), ((math.nan,), "t_samples must be finite"),
+                                   ((1e308, 1e308), "entries must be finite")]:
+            big = core.SymmetricMatrix.from_array(1e308 * A.entries)
+            for check in (verify.verify_gm, verify.verify_theorem_main):
+                with pytest.raises(ValueError, match=message):
+                    check(big, big, t_samples=t_samples)
 
 
 class TestTheoremMain:
