@@ -332,27 +332,27 @@ def _open_at_poles(f, rows, pole, side: int, limit,
 
 def _bisect_all(f, rows, lo, hi, f_lo, unit) -> tuple[np.ndarray, np.ndarray]:
     """``_bisect`` for the brackets ``rows`` in lockstep: roots and a converged mask."""
-    lo, hi = lo.copy(), hi.copy()
     root = np.full(len(rows), np.nan)
-    live = np.ones(len(rows), dtype=bool)
+    live = np.arange(len(rows))  # lo, hi, f_lo and unit follow it as it shrinks
     for _ in range(MAX_BISECT):
-        b = np.flatnonzero(live)
-        if not b.size:
+        if not live.size:
             break
-        mid = 0.5 * lo[b] + 0.5 * hi[b]
-        done = ((hi[b] - lo[b] <= ROOT_WIDTH_TOL * np.maximum(unit[b], np.abs(mid)))
-                | (mid == lo[b]) | (mid == hi[b]))
-        root[b[done]] = mid[done]
-        live[b[done]] = False
-        b, mid = b[~done], mid[~done]
-        f_mid = f(rows[b], mid)
-        zero = f_mid == 0.0
-        root[b[zero]] = mid[zero]
-        live[b[zero]] = False
-        up = (f_mid > 0.0) == (f_lo[b] > 0.0)
-        lo[b[up]] = mid[up]
-        hi[b[~up]] = mid[~up]
-    return root, ~live
+        mid = 0.5 * lo + 0.5 * hi
+        done = ((hi - lo <= ROOT_WIDTH_TOL * np.maximum(unit, np.abs(mid)))
+                | (mid == lo) | (mid == hi))
+        f_mid = f(rows[live[~done]], mid[~done])
+        done[~done] = f_mid == 0.0
+        if done.any():
+            root[live[done]] = mid[done]
+            keep = ~done
+            live, lo, hi, f_lo, unit, mid = (a[keep] for a in (live, lo, hi, f_lo, unit, mid))
+            f_mid = f_mid[f_mid != 0.0]
+        up = (f_mid > 0.0) == (f_lo > 0.0)
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    converged = np.ones(len(rows), dtype=bool)
+    converged[live] = False
+    return root, converged
 
 
 @np.errstate(over="ignore")
@@ -378,10 +378,10 @@ def _bracket_roots(sys: SecularSystem, t: np.ndarray, upper: np.ndarray,
     def f(rows, y):
         # secular_eval at lambda = s*y, one row per bracket.
         lam = (s[rows] * y)[:, None]
-        at_pole = np.any(sys.active_poles == lam, axis=1)
+        at_pole = sys.active_poles == lam
         if at_pole.any():
             raise ZeroDivisionError(
-                f"evaluation at active pole lambda={lam[at_pole][0, 0]}")
+                f"evaluation at active pole lambda={lam[at_pole.any(axis=1)][0, 0]}")
         return 1.0 + np.sum(tw[rows] / (sys.active_poles - lam), axis=1)
 
     errors = {}

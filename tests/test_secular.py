@@ -370,6 +370,37 @@ class TestLowestUpdatePair:
         # active pole: in the other 19 the root could not be the lowest.
         assert sorted(solved) == [-0.75] * 40 + [-1 / 16] * 40 + [0.5] * 21
 
+    def test_brackets_match_the_scalar_solver(self):
+        # Each lockstep bracket takes _bracket_root's steps: the same root or
+        # the same BracketError (1e6 scale, t = +-1e-6, where a bracket does
+        # not open), and a batch raises the error of its first failing shift.
+        def outcome(solve):
+            try:
+                return np.float64(solve()).tobytes()
+            except secular.BracketError as exc:
+                return str(exc)
+
+        rng = np.random.default_rng(71)
+        shifts = (0.5, 1e-6, -1e-6)
+        failed = 0
+        for _ in range(40):
+            A, x = random_instance(rng, 8)
+            basis = core.eigh(core.SymmetricMatrix.from_array(1e6 * A.entries))
+            errors = []
+            for t in shifts:
+                sys = secular.build_secular(basis, x, t)
+                s, poles, f = secular._reflect(sys)
+                j = len(poles) - 1 if s > 0.0 else 0
+                want = outcome(lambda: s * secular._bracket_root(f, poles, j, sys.cap))
+                assert outcome(lambda: secular.lowest_update_pairs(basis, x, [t])[0][0]) == want
+                errors += [want] if isinstance(want, str) else []
+            failed += bool(errors)
+            if errors:
+                with pytest.raises(secular.BracketError) as exc:
+                    secular.lowest_update_pairs(basis, x, shifts)
+                assert str(exc.value) == errors[0]
+        assert failed > 0
+
     def test_t_zero_is_retained(self):
         basis = swap_basis()
         value = basis.spectrum.values[-1]
