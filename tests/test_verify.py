@@ -180,7 +180,7 @@ class TestSharedSolve:
             b = a[np.ix_(perm, perm)]
             if k % 3 == 1:
                 b = b + np.diag(1e-3 * rng.uniform(-1, 1, n))
-            scale = (4.0 ** -20, 1.0, 4.0 ** 20)[k % 3 if k < 6 else (k + 1) % 3]
+            scale = 4.0 ** (20 * (k // 3 % 3 - 1))  # each kind at 4^-20, 1, 4^20
             yield (core.SymmetricMatrix.from_array(scale * a),
                    core.SymmetricMatrix.from_array(scale * b))
 
@@ -203,10 +203,9 @@ class TestSharedSolve:
         one = core.SymmetricMatrix.from_array([[1.0]])
         with pytest.raises(ValueError, match="deck requires n >= 2"):
             verify.verify_gm(one, one)
-        A = path_graph(3)
+        big = core.SymmetricMatrix.from_array(1e308 * path_graph(3).entries)
         for t_samples, message in [((), "nonempty"), ((math.nan,), "t_samples must be finite"),
                                    ((1e308, 1e308), "entries must be finite")]:
-            big = core.SymmetricMatrix.from_array(1e308 * A.entries)
             for check in (verify.verify_gm, verify.verify_theorem_main):
                 with pytest.raises(ValueError, match=message):
                     check(big, big, t_samples=t_samples)
