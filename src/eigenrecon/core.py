@@ -24,7 +24,7 @@ class MatrixFormatError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the Jacobi sweep cap is exhausted."""
+    """Raised when Jacobi hits its sweep cap or an eigenvalue passes the float range."""
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,14 @@ class Spectrum:
 def _spread(values) -> float:
     """values[0] - values[-1], saturated at the float maximum."""
     return min(float(values[0]) - float(values[-1]), FLOAT_MAX)
+
+
+def cluster_mean(spec: Spectrum, cluster) -> float:
+    """np.mean of a cluster's eigenvalues, bit for bit where that is finite.
+    A sum that could overflow is taken in a unit 2^k larger, which is exact."""
+    vals = spec.values[list(cluster)]
+    k = len(vals).bit_length() if np.max(np.abs(vals)) > FLOAT_MAX / len(vals) else 0
+    return float(np.ldexp(np.mean(np.ldexp(vals, -k)), k))
 
 
 def default_cluster_tol(values) -> float:
@@ -212,8 +220,8 @@ def _jacobi(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix is first scaled by an even power of two that brings max|a| into
     [0.5, 2): that is exact, also under the square roots, so the rotations
     and the tiny floor do not depend on the matrix's scale. Sweeps stop once
-    no matrix rotated; ConvergenceError after JACOBI_MAX_SWEEPS. Returns the
-    rotated stack and the accumulated rotations, both (b, n, n).
+    no matrix rotated; ConvergenceError after JACOBI_MAX_SWEEPS or for an
+    eigenvalue past the float range. Returns the rotated stack and rotations.
     """
     b, n, _ = stack.shape
     e = scale_exponent(np.max(np.abs(stack), axis=(1, 2)))[:, None, None]
@@ -267,7 +275,10 @@ def _jacobi(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 if w is not work:
                     work[r] = w
             sweeps += 1
-    return np.ldexp(work[:, :n], e), work[:, n:]
+        a = np.ldexp(work[:, :n], e)
+    if not np.all(np.isfinite(a)):
+        raise ConvergenceError("an eigenvalue lies beyond the float range")
+    return a, work[:, n:]
 
 
 def eigh(A: SymmetricMatrix) -> EigenBasis:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Diagnostic, EigenBasis, Spectrum, SymmetricMatrix,
-                   canonical_column_signs, cluster_spectrum, default_cluster_tol,
-                   eigh_stack)
+                   canonical_column_signs, cluster_mean, cluster_spectrum,
+                   default_cluster_tol, eigh_stack)
 
 DEFLATE_TOL = 1e-12
 POLE_OFFSET_SCALE = 1e-13
@@ -87,7 +87,7 @@ def build_secular(basis: EigenBasis, x, t: float) -> SecularSystem:
             f"a cluster spans {widest:.3e}, wider than {limit:.3e}; the "
             "secular equation needs exact multiplicities")
     q = basis.vectors.T @ x
-    poles = np.array([np.mean(spec.values[list(c)]) for c in spec.clusters])
+    poles = np.array([cluster_mean(spec, c) for c in spec.clusters])
     weights = np.array([float(np.sum(q[list(c)] ** 2)) for c in spec.clusters])
     floor = DEFLATE_TOL * float(x @ x)
     active = tuple(k for k in range(len(weights)) if t != 0.0 and weights[k] > floor)

@@ -28,37 +28,34 @@ class NotSimpleError(ValueError):
     """Requested eigenvalue is not numerically simple."""
 
 
-def reconstruct_square(spec: Spectrum, card: Spectrum, i: int) -> float:
-    """p_{m,i}^2 from the parent spectrum and the spectrum of A_m.
+def reconstruct_square(spec: Spectrum, cards: np.ndarray, i: int) -> np.ndarray:
+    """Column i of the table, p_{m,i}^2 for every vertex m.
 
+    ``cards`` is the (n, n - 1) array whose row m is the spectrum of A_m.
     ``i`` is a 0-based index into ``spec`` and must be a simple eigenvalue;
     the denominator would otherwise contain a factor below the cluster
     tolerance and the quotient is meaningless.
     """
     n = len(spec)
-    if len(card) != n - 1:
-        raise ValueError(f"card has length {len(card)}, expected {n - 1}")
+    if cards.shape != (n, n - 1):
+        raise ValueError(f"cards have shape {cards.shape}; need {n} of length {n - 1}")
     if not spec.is_simple(i):
         raise NotSimpleError(f"eigenvalue index {i} is not simple")
     lam_i = spec.values[i]
-    num = np.sort(card.values - lam_i)
+    num = np.sort(cards - lam_i, axis=1)
     den = np.sort(np.delete(spec.values, i) - lam_i)
     # Sorted pairing keeps each ratio O(1): interlacing matches factor signs
     # and magnitudes, so partial products stay far from overflow/underflow.
-    value = float(np.prod(num / den))
-    if -CLAMP_TOL <= value < 0.0:
-        value = 0.0
-    elif 1.0 < value <= 1.0 + CLAMP_TOL:
-        value = 1.0
-    return value
+    col = np.prod(num / den, axis=1)
+    col[(-CLAMP_TOL <= col) & (col < 0.0)] = 0.0
+    col[(1.0 < col) & (col <= 1.0 + CLAMP_TOL)] = 1.0
+    return col
 
 
 @dataclass(frozen=True)
 class SquareTable:
     """Grid of p_{m,i}^2 values; NaN marks a non-simple eigenvalue column.
 
-    ``provenance`` is "deck" when built from vertex-deleted spectra and
-    "eigenbasis" when filled directly from squared eigenvector entries.
     ``warnings`` holds "negative_square" and "column_sum" records whose
     ``index`` is the eigenvalue column.
     """
@@ -66,7 +63,6 @@ class SquareTable:
     n: int
     table: np.ndarray
     simple: tuple[int, ...]
-    provenance: str
     warnings: tuple[Diagnostic, ...] = ()
 
     def cell(self, m: int, i: int) -> float | None:
@@ -77,43 +73,37 @@ class SquareTable:
         rows = [[None if np.isnan(v) else v for v in row] for row in self.table]
         return json.dumps(
             {"n": self.n, "simple": list(self.simple), "table": rows,
-             "provenance": self.provenance,
              "warnings": [asdict(w) for w in self.warnings]}
         )
 
 
-def square_table_from_deck(spec: Spectrum, cards: SpectralDeck) -> SquareTable:
-    """Apply reconstruct_square over every vertex m and simple index i.
+def square_table_from_deck(cards: SpectralDeck) -> SquareTable:
+    """reconstruct_square for each simple eigenvalue i of the deck's parent.
 
-    Column sums over m are checked against 1 (the eigenvector is a unit
-    vector). A negative cell and a column sum off by more than 1e-8 are
-    recorded as ("negative_square", i, value) and ("column_sum", i, sum)
-    warnings, not raised, since they indicate inconsistent input spectra
-    rather than a bug here.
+    A negative cell, and a column whose sum is off 1 by more than 1e-8 (a
+    column holds a unit vector's squares), are recorded as
+    ("negative_square", i, value) and ("column_sum", i, sum) warnings, not
+    raised: they mean inconsistent input spectra, not a bug here.
     """
+    spec = cards.parent.spectrum
     n = len(spec)
-    if len(cards) != n:
-        raise ValueError(f"deck has {len(cards)} cards, expected {n}")
+    spectra = np.array([c.values for c in cards.card_spectra])
     table = np.full((n, n), np.nan)
     simple = tuple(i for i in range(n) if spec.is_simple(i))
     warnings = []
     for i in simple:
-        for m in range(n):
-            v = reconstruct_square(spec, cards.card_spectra[m], i)
-            if v < 0.0:
-                warnings.append(Diagnostic("negative_square", i, v))
-            table[m, i] = v
-        colsum = float(np.nansum(table[:, i]))
+        table[:, i] = col = reconstruct_square(spec, spectra, i)
+        warnings += [Diagnostic("negative_square", i, float(v)) for v in col[col < 0.0]]
+        colsum = float(np.nansum(col))
         if abs(colsum - 1.0) > ROW_SUM_TOL:
             warnings.append(Diagnostic("column_sum", i, colsum))
     table.setflags(write=False)
-    return SquareTable(n, table, simple, "deck", tuple(warnings))
+    return SquareTable(n, table, simple, tuple(warnings))
 
 
 def square_table(A: SymmetricMatrix) -> SquareTable:
     """Convenience: deck-route square table straight from a matrix."""
-    cards = deck(A)
-    return square_table_from_deck(cards.parent.spectrum, cards)
+    return square_table_from_deck(deck(A))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (EigenBasis, Spectrum, SymmetricMatrix, _solve_stack,
-                   eigh_stack, scale_exponent)
+                   cluster_mean, eigh_stack, scale_exponent)
 from .secular import lowest_update_pairs
 from .squares import SquareComparison, compare_squares, square_table_from_deck
 
@@ -274,9 +274,8 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, *,
             del unused[k]
         multiset_devs = tuple(devs)
 
-    table_a = square_table_from_deck(basis_a.spectrum, deck_a)
-    table_b = square_table_from_deck(basis_b.spectrum, deck_b)
-    squares = compare_squares(table_a, table_b)
+    squares = compare_squares(square_table_from_deck(deck_a),
+                              square_table_from_deck(deck_b))
 
     projections = []
     if len(basis_a.spectrum.clusters) == len(basis_b.spectrum.clusters):
@@ -285,7 +284,7 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, *,
             pb = projection_of_ones(basis_b, cb)
             dist = float(np.linalg.norm(pa - pb))
             projections.append({
-                "value": float(np.mean(basis_a.spectrum.values[list(ca)])),
+                "value": cluster_mean(basis_a.spectrum, ca),
                 "distance": dist,
                 "pass": dist <= PROJECTION_TOL,
             })

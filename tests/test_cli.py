@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -46,6 +47,7 @@ def test_squares_p3_closed_form(matrix_file, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["table"][0][0] == pytest.approx(0.25, abs=1e-12)
+    assert set(payload) == {"n", "simple", "table", "warnings"}
 
 
 def test_rank1_ones_shorthand(matrix_file, capsys):
@@ -196,8 +198,10 @@ def test_hostile_flag_exits_2(matrix_file, capsys, argv, message):
 
 def test_squares_warnings_on_stderr(matrix_file, capsys, monkeypatch):
     def inconsistent(A):
+        d = core.deck(A)
         spec = core.cluster_spectrum([0.5, 0.0, -0.5])
-        return squares.square_table_from_deck(spec, core.deck(A))
+        return squares.square_table_from_deck(
+            dataclasses.replace(d, parent=dataclasses.replace(d.parent, spectrum=spec)))
 
     monkeypatch.setattr(squares, "square_table", inconsistent)
     code = cli.main(["squares", matrix_file("a.txt", P3)])
@@ -370,3 +374,29 @@ def test_rank1_non_finite_root_exits_3(matrix_file, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "not finite" in captured.err
+
+
+@pytest.mark.parametrize("subcommand", ["eig", "deck", "squares"])
+def test_eigenvalue_past_float_max_exits_3(matrix_file, capsys, subcommand):
+    # The eigenvalue 2e308 used to print as Infinity with exit 0.
+    a = matrix_file("a.txt", "2\n1e308 1e308\n1e308 1e308\n")
+    code = cli.main([subcommand, a])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: an eigenvalue lies beyond the float range\n"
+
+
+@pytest.mark.parametrize("t", ["1e300", "-1e300"])
+def test_rank1_repeated_eigenvalue_near_float_max(matrix_file, capsys, t):
+    # The pole of the double eigenvalue 1e308 used to overflow to inf.
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    code, out = run(capsys, "rank1", matrix_file("a.txt", "2\n1e308 0\n0 1e308\n"),
+                    "--x", "ones", f"--t={t}")
+    payload = json.loads(out, parse_constant=reject)
+    assert code == 0
+    expected = np.linalg.eigvalsh(1e308 * np.eye(2) + float(t) * np.ones((2, 2)))
+    values = [e["value"] for e in payload["eigenvalues"]]
+    assert values == pytest.approx(expected[::-1], rel=1e-13)

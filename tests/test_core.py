@@ -341,6 +341,14 @@ class TestExtremeScales:
         assert spec.clusters == ((0,), (1,))
         assert 0.0 < spec.spread <= core.FLOAT_MAX
 
+    def test_eigenvalue_past_float_max_raises(self):
+        # [[1e308, 1e308], [1e308, 1e308]] has the eigenvalue 2e308: an error,
+        # not an infinite eigenvalue (nor an overflow warning).
+        A = core.SymmetricMatrix.from_array(np.full((2, 2), 1e308))
+        for solve in (core.eigh, core.deck, squares.square_table):
+            with pytest.raises(core.ConvergenceError, match="float range"):
+                solve(A)
+
 
 def scaled_bytes(x, k) -> bytes:
     return np.ldexp(x, k).tobytes()
@@ -415,3 +423,25 @@ class TestClusterSpectrum:
             assert vals[c[0]] - vals[c[-1]] <= tol
         assert len(spec.clusters) > 2
         assert sorted(i for c in spec.clusters for i in c) == list(range(21))
+
+
+class TestClusterMean:
+    def test_equals_numpy_mean_where_finite(self):
+        rng = np.random.default_rng(17)
+        for scale in (5e-324, 1e-310, 1e-300, 1.0, 1e300, 1.6e307):
+            for n in range(1, 12):
+                vals = np.sort(scale * (1.0 + 1e-13 * rng.random(n)))[::-1]
+                spec = core.cluster_spectrum(vals)
+                cluster = tuple(range(n))
+                assert core.cluster_mean(spec, cluster) == float(np.mean(vals))
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_no_overflow_past_half_the_float_maximum(self, n):
+        # np.mean of the values in a unit 16 times larger, which is exact.
+        vals = np.full(n, 1.7e308)
+        spec = core.cluster_spectrum(vals)
+        mean = core.cluster_mean(spec, spec.clusters[0])
+        assert mean == 16.0 * float(np.mean(vals / 16.0))
+        assert mean == pytest.approx(1.7e308, rel=1e-15)
+        spec = core.cluster_spectrum([1.00000002e308, 1e308, -1e308])
+        assert core.cluster_mean(spec, (0, 1)) == 1.00000001e308

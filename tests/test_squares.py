@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from eigenrecon import core, squares
+from oracles import square_ratio_product, square_table_by_cells
 
 SQRT2 = math.sqrt(2.0)
 
@@ -16,7 +18,7 @@ def square_table_from_basis(basis: core.EigenBasis) -> squares.SquareTable:
     simple = tuple(i for i in range(n) if basis.spectrum.is_simple(i))
     for i in simple:
         table[:, i] = basis.vectors[:, i] ** 2
-    return squares.SquareTable(n, table, simple, "eigenbasis")
+    return squares.SquareTable(n, table, simple)
 
 
 def random_simple_symmetric(rng, n, min_gap_factor=1e-6):
@@ -33,31 +35,38 @@ def random_simple_symmetric(rng, n, min_gap_factor=1e-6):
 class TestReconstructSquare:
     def test_swap_matrix(self):
         spec = core.cluster_spectrum([1.0, -1.0])
-        card = core.cluster_spectrum([0.0])
-        assert squares.reconstruct_square(spec, card, 0) == pytest.approx(0.5)
+        cards = np.array([[0.0], [0.0]])
+        assert squares.reconstruct_square(spec, cards, 0) == pytest.approx(0.5)
 
     def test_diagonal(self):
         spec = core.cluster_spectrum([3.0, 1.0])
-        card = core.cluster_spectrum([1.0])
-        assert squares.reconstruct_square(spec, card, 0) == pytest.approx(1.0)
+        cards = np.array([[1.0], [3.0]])
+        assert squares.reconstruct_square(spec, cards, 0) == pytest.approx([1.0, 0.0])
 
     def test_path_graph_closed_form(self):
-        # P3 eigenvector for sqrt(2) is (1, sqrt(2), 1)/2, entry square 1/4.
+        # P3 eigenvector for sqrt(2) is (1, sqrt(2), 1)/2, entry squares
+        # 1/4, 1/2, 1/4.
         spec = core.cluster_spectrum([SQRT2, 0.0, -SQRT2])
-        card = core.cluster_spectrum([1.0, -1.0])
-        assert squares.reconstruct_square(spec, card, 0) == pytest.approx(0.25)
+        cards = np.array([[1.0, -1.0], [0.0, 0.0], [1.0, -1.0]])
+        assert squares.reconstruct_square(spec, cards, 0) == pytest.approx(
+            [0.25, 0.5, 0.25])
 
     def test_not_simple_refused(self):
         spec = core.cluster_spectrum([1.0, 1.0, 0.0])
-        card = core.cluster_spectrum([1.0, 0.5])
+        cards = np.array([[1.0, 0.5]] * 3)
         with pytest.raises(squares.NotSimpleError):
-            squares.reconstruct_square(spec, card, 0)
+            squares.reconstruct_square(spec, cards, 0)
 
     def test_card_length_checked(self):
         spec = core.cluster_spectrum([1.0, -1.0])
-        card = core.cluster_spectrum([1.0, 0.0])
+        cards = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="length"):
-            squares.reconstruct_square(spec, card, 0)
+            squares.reconstruct_square(spec, cards, 0)
+
+    def test_card_count_checked(self):
+        spec = core.cluster_spectrum([1.0, -1.0])
+        with pytest.raises(ValueError, match="need 2 of length 1"):
+            squares.reconstruct_square(spec, np.array([[0.0]]), 0)
 
 
 class TestSquareTable:
@@ -77,8 +86,7 @@ class TestSquareTable:
             n = int(rng.integers(2, 13))
             A = random_simple_symmetric(rng, n)
             basis = core.eigh(A)
-            from_deck = squares.square_table_from_deck(basis.spectrum,
-                                                       core.deck(A))
+            from_deck = squares.square_table_from_deck(core.deck(A))
             from_basis = square_table_from_basis(basis)
             np.testing.assert_allclose(from_deck.table, from_basis.table,
                                        atol=1e-8)
@@ -110,8 +118,7 @@ class TestSquareTable:
 
     def test_non_simple_marked_not_nan_poisoned(self):
         A = core.SymmetricMatrix.from_array(np.zeros((3, 3)))
-        spec = core.eigh(A).spectrum
-        t = squares.square_table_from_deck(spec, core.deck(A))
+        t = squares.square_table_from_deck(core.deck(A))
         assert t.simple == ()
         assert np.all(np.isnan(t.table))
 
@@ -132,8 +139,10 @@ class TestSquareTable:
         # The P3 deck against a parent spectrum that it does not interlace:
         # columns 0 and 2 get negative cells, and no column sums to 1.
         P3 = core.SymmetricMatrix.from_array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        d = core.deck(P3)
         spec = core.cluster_spectrum([0.5, 0.0, -0.5])
-        t = squares.square_table_from_deck(spec, core.deck(P3))
+        t = squares.square_table_from_deck(
+            dataclasses.replace(d, parent=dataclasses.replace(d.parent, spectrum=spec)))
         assert [(w.code, w.index) for w in t.warnings] == [
             ("negative_square", 0), ("negative_square", 0), ("column_sum", 0),
             ("column_sum", 1),
@@ -190,3 +199,41 @@ def test_zero_and_scalar_matrices_have_no_simple_column(scale, c, n):
     t = squares.square_table(A)
     assert t.simple == () and t.warnings == ()
     assert np.all(np.isnan(t.table))
+
+
+def seeded_matrix(rng, kind, n, e):
+    """A uniform symmetric matrix or a 0/1 graph (edge density 0.3), times 4^e."""
+    if kind == "uniform":
+        m = rng.uniform(-1, 1, (n, n))
+    else:
+        m = np.triu((rng.random((n, n)) < 0.3).astype(float), 1)
+    return core.SymmetricMatrix.from_array(np.ldexp(m + m.T, 2 * e))
+
+
+def test_columns_equal_the_cell_by_cell_table():
+    # 0/1 graphs and uniform matrices, every n from 2 to 19 once each, at
+    # scales 4^-10, 1 and 4^10 in turn, each deck also set against a parent
+    # spectrum that it does not interlace.
+    rng = np.random.default_rng(1307)
+    seen = {"non_simple": 0, "clamped": 0, "negative_square": 0, "column_sum": 0}
+    for k in range(36):
+        n = 2 + k % 18
+        kind = "graph" if k < 18 else "uniform"
+        d = core.deck(seeded_matrix(rng, kind, n, (-10, 0, 10)[(k + k // 18) % 3]))
+        spec = d.parent.spectrum
+        off = core.cluster_spectrum(0.999 * spec.values + 1e-3 * spec.spread)
+        for dk in (d, dataclasses.replace(
+                d, parent=dataclasses.replace(d.parent, spectrum=off))):
+            t = squares.square_table_from_deck(dk)
+            table, simple, warnings = square_table_by_cells(dk)
+            assert t.table.tobytes() == table.tobytes()
+            assert t.simple == simple
+            assert [(w.code, w.index, w.value) for w in t.warnings] == warnings
+            for code, _, _ in warnings:
+                seen[code] += 1
+        raw = [square_ratio_product(spec, card, i)
+               for i in range(n) if spec.is_simple(i) for card in d.card_spectra]
+        seen["non_simple"] += not all(map(spec.is_simple, range(n)))
+        seen["clamped"] += sum(-1e-10 <= v < 0.0 or 1.0 < v <= 1.0 + 1e-10
+                               for v in raw)
+    assert all(seen.values()), seen

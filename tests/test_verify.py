@@ -142,6 +142,14 @@ class TestVerifyGm:
         assert report.deck_equal
         assert max(report.deck_multiset_devs) <= 1e-10
 
+    def test_repeated_eigenvalue_near_float_max(self):
+        # The projection value and the secular pole of the double eigenvalue
+        # 1e308 used to overflow to inf.
+        A = core.SymmetricMatrix.from_array(1e308 * np.eye(2))
+        report = verify.verify_gm(A, A, t_samples=(-1e300,))
+        assert report.passed
+        assert [p["value"] for p in report.projections] == [1e308]
+
     def test_dimension_mismatch(self):
         A = random_symmetric(np.random.default_rng(1), 3)
         B = random_symmetric(np.random.default_rng(1), 4)
