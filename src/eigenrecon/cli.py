@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -122,8 +123,14 @@ def _parse_t_samples(spec: str):
             "--t-samples expects count,lo,hi") from None
     if count < 1:
         raise argparse.ArgumentTypeError("sample count must be positive")
-    # Uniform in the half-open interval (lo, hi].
-    return tuple(lo + k * (hi - lo) / count for k in range(1, count + 1))
+    # Uniform in the half-open interval (lo, hi]. Where hi - lo or k * (hi -
+    # lo) overflows, the same formula runs in a unit 2^s larger.
+    def sample(k, s=0):
+        lo_s, hi_s = math.ldexp(lo, -s), math.ldexp(hi, -s)
+        return math.ldexp(lo_s + k * (hi_s - lo_s) / count, s)
+    wide = count.bit_length() + 1
+    return tuple(t if math.isfinite(t := sample(k)) else sample(k, wide)
+                 for k in range(1, count + 1))
 
 
 def cmd_tmain(args) -> int:

@@ -53,29 +53,33 @@ class SymmetricMatrix:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] < 1:
             raise ValueError("dimension must be at least 1")
-        peak = float(np.max(np.abs(m)))  # NaN or inf exactly when an entry is
-        if not np.isfinite(peak):
-            raise ValueError("matrix entries must be finite")
-        with np.errstate(over="ignore"):  # inf is then an honest answer
-            asym = float(np.max(np.abs(m - m.T)))
-        if asym > SYM_TOL * peak:
+        return cls(symmetrized(m))
+
+
+def symmetrized(m: np.ndarray) -> np.ndarray:
+    """(M + M^T) / 2 of each matrix M of a (..., n, n) stack, read-only.
+
+    ValueError if an M is not finite, or not symmetric to SYM_TOL * max|M|.
+    """
+    peak = np.max(np.abs(m), axis=(-2, -1), keepdims=True)  # NaN or inf exactly when an entry is
+    if not np.all(np.isfinite(peak)):
+        raise ValueError("matrix entries must be finite")
+    mt = np.swapaxes(m, -2, -1)
+    with np.errstate(over="ignore"):  # inf is then an honest answer
+        asym = np.max(np.abs(m - mt), axis=(-2, -1), keepdims=True)
+        lopsided = asym > SYM_TOL * peak
+        if np.any(lopsided):
+            k = np.argmax(lopsided)
             raise ValueError(
-                f"input is not symmetric: max |M - M^T| = {asym:.3e} "
-                f"exceeds {SYM_TOL:.1e} * {peak:.3e}"
+                f"input is not symmetric: max |M - M^T| = {asym.flat[k]:.3e} "
+                f"exceeds {SYM_TOL:.1e} * {peak.flat[k]:.3e}"
             )
         # m + m^T overflows once an entry passes half the float maximum. There
         # the halves are summed instead: exact but for subnormal entries,
         # whose last bit is far below the rounding of such a peak.
-        sym = (m + m.T) / 2.0 if peak <= FLOAT_MAX / 2.0 else m / 2.0 + m.T / 2.0
-        sym.setflags(write=False)
-        return cls(sym)
-
-    def delete(self, i: int) -> "SymmetricMatrix":
-        """Principal submatrix with row and column i removed (0-based)."""
-        keep = [k for k in range(self.n) if k != i]
-        sub = self.entries[np.ix_(keep, keep)].copy()
-        sub.setflags(write=False)
-        return SymmetricMatrix(sub)
+        sym = np.where(peak <= FLOAT_MAX / 2.0, (m + mt) / 2.0, m / 2.0 + mt / 2.0)
+    sym.setflags(write=False)
+    return sym
 
 
 @dataclass(frozen=True)
@@ -160,24 +164,15 @@ class EigenBasis:
 
 
 def canonical_column_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip columns so each largest-|entry| component is positive.
+    """Flip columns so each largest-|entry| component is positive, in each
+    matrix of a (..., n, k) stack.
 
     Ties go to the lowest row index. The result is a C-contiguous copy
     whatever the input layout, so downstream BLAS calls round the same way.
     """
-    cols = np.arange(vectors.shape[1])
-    lead = vectors[np.argmax(np.abs(vectors), axis=0), cols]
+    lead = np.take_along_axis(
+        vectors, np.argmax(np.abs(vectors), axis=-2)[..., None, :], axis=-2)
     return np.ascontiguousarray(np.where(lead < 0, -vectors, vectors))
-
-
-def _basis(a: np.ndarray, p: np.ndarray) -> EigenBasis:
-    """Sorted spectrum and sign-fixed vectors of a diagonalised matrix a = P^T A P."""
-    diag = np.diag(a).copy()
-    order = np.argsort(-diag, kind="stable")
-    values = diag[order]
-    vectors = canonical_column_signs(p[:, order])
-    vectors.setflags(write=False)
-    return EigenBasis(cluster_spectrum(values), vectors)
 
 
 def _rounds(n: int) -> list[tuple[np.ndarray, ...]]:
@@ -213,22 +208,30 @@ def _jacobi(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rotates when |a_ij| > max(1e-15 sqrt|a_ii| sqrt|a_jj|, tiny), the
     relative rule of Demmel and Veselic; the floor lets exact zero
     eigenvalues terminate and keeps zero rows unrotated. A matrix with no
-    such pair in a round is not touched, and its other pairs get c = 1,
-    s = 0, so each result is bit-identical to solving that matrix alone. A
-    pair's round depends only on i XOR j, so a matrix padded with zero rows
-    and columns at the end rotates exactly like the unpadded one. Each
-    matrix is first scaled by an even power of two that brings max|a| into
-    [0.5, 2): that is exact, also under the square roots, so the rotations
-    and the tiny floor do not depend on the matrix's scale. Sweeps stop once
-    no matrix rotated; ConvergenceError after JACOBI_MAX_SWEEPS or for an
-    eigenvalue past the float range. Returns the rotated stack and rotations.
+    such pair in a round is not touched (an identity rotation would turn its
+    -0.0 entries into 0.0), and its other pairs get c = 1, s = 0, so each
+    result is bit-identical to solving that matrix alone. A pair's round
+    depends only on i XOR j, so a matrix padded with zero rows and columns
+    at the end rotates exactly like the unpadded one. Each matrix is first
+    scaled by an even power of two that brings max|a| into [0.5, 2): that is
+    exact, also under the square roots, so the rotations and the tiny floor
+    do not depend on the matrix's scale. Sweeps stop once no matrix rotated;
+    ConvergenceError after JACOBI_MAX_SWEEPS or for an eigenvalue past the
+    float range. Returns the rotated stack and rotations as C-contiguous
+    (b, n, n) arrays.
+
+    The working array is (rows, columns, matrices), a above p on the row
+    axis: the a block is one contiguous slab, and every elementwise step
+    runs over the stack as its inner loop.
     """
     b, n, _ = stack.shape
-    e = scale_exponent(np.max(np.abs(stack), axis=(1, 2)))[:, None, None]
+    e = scale_exponent(np.max(np.abs(stack), axis=(1, 2)))
     # a on top of p, so one column rotation updates both.
-    work = np.concatenate([np.ldexp(stack, -e),
-                           np.broadcast_to(np.eye(n), (b, n, n))], axis=1)
-    rounds = _rounds(n)
+    work = np.empty((2 * n, n, b))
+    work[:n] = np.ldexp(stack.transpose(1, 2, 0), -e)
+    work[n:] = np.eye(n)[:, :, None]
+    rounds = [(partner, lo, hi, sign[:, None], floor[:, None])
+              for partner, lo, hi, sign, floor in _rounds(n)]
     k = np.arange(n)
     rotated = n > 1
     sweeps = 0
@@ -242,19 +245,19 @@ def _jacobi(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 )
             rotated = False
             for partner, lo, hi, sign, floor in rounds:
-                apq = work[:, lo, hi]
-                d = np.diagonal(work, axis1=1, axis2=2)
+                apq = work[lo, hi]
+                d = work[k, k]
                 root = np.sqrt(np.abs(d))
-                act = np.abs(apq) > np.maximum(1e-15 * root[:, lo] * root[:, hi], floor)
-                rows = act.any(axis=1)
+                act = np.abs(apq) > np.maximum(1e-15 * root[lo] * root[hi], floor)
+                rows = act.any(axis=0)
                 if not rows.any():
                     continue
                 rotated = True
                 w = work
                 if not rows.all():
                     r = np.flatnonzero(rows)
-                    w, act, apq, d = work[r], act[r], apq[r], d[r]
-                theta = (d[:, hi] - d[:, lo]) / (2.0 * apq)
+                    w, act, apq, d = work[..., r], act[:, r], apq[:, r], d[:, r]
+                theta = (d[hi] - d[lo]) / (2.0 * apq)
                 t = np.sign(theta) / (np.abs(theta) + np.hypot(theta, 1.0))
                 t[theta == 0.0] = 1.0
                 c = 1.0 / np.hypot(t, 1.0)
@@ -262,23 +265,24 @@ def _jacobi(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 # row then keeps its -0.0 entries, as an unpaired row does.
                 s = np.where(act, t * c, 0.0) * sign
                 c = np.where(act, c, 1.0)
-                a = w[:, :n]
-                rows_in = a[:, partner]
-                rows_in *= s[:, :, None]
-                a *= c[:, :, None]
+                a = w[:n]
+                rows_in = a[partner]
+                rows_in *= s[:, None]
+                a *= c[:, None]
                 a += rows_in
-                cols_in = w[:, :, partner]
-                cols_in *= s[:, None]
-                w *= c[:, None]
+                cols_in = w[:, partner]
+                cols_in *= s
+                w *= c
                 w += cols_in
-                a[:, k, partner] = np.where(act, 0.0, a[:, k, partner])
+                a[k, partner] = np.where(act, 0.0, a[k, partner])
                 if w is not work:
-                    work[r] = w
+                    work[..., r] = w
             sweeps += 1
-        a = np.ldexp(work[:, :n], e)
+        a = np.ldexp(work[:n], e)
     if not np.all(np.isfinite(a)):
         raise ConvergenceError("an eigenvalue lies beyond the float range")
-    return a, work[:, n:]
+    return (np.ascontiguousarray(a.transpose(2, 0, 1)),
+            np.ascontiguousarray(work[n:].transpose(2, 0, 1)))
 
 
 def eigh(A: SymmetricMatrix) -> EigenBasis:
@@ -288,8 +292,7 @@ def eigh(A: SymmetricMatrix) -> EigenBasis:
     positive-definite matrices. Raises ConvergenceError after 100 sweeps
     (never seen on sane input).
     """
-    a, p = _jacobi(A.entries[None])
-    return _basis(a[0], p[0])
+    return _solve_stack((), [A])[1][0]
 
 
 def eigh_stack(matrices) -> list[EigenBasis]:
@@ -315,37 +318,26 @@ class SpectralDeck:
         return len(self.card_spectra)
 
 
-def check_interlacing(parent: Spectrum, card: Spectrum) -> bool:
+def check_interlacing(parent: Spectrum, cards) -> np.ndarray:
     """lambda_k(A) >= lambda_k(A_m) >= lambda_{k+1}(A) (Cauchy interlacing),
-    each up to INTERLACE_SLACK * max|lambda(A)|."""
+    each up to INTERLACE_SLACK * max|lambda(A)|, for each card A_m: one row
+    of descending eigenvalues per card in ``cards``, one verdict per row."""
     lam = parent.values
-    mu = card.values
-    if len(mu) != len(lam) - 1:
+    mu = np.asarray(cards, dtype=float)
+    if mu.shape[-1] != len(lam) - 1:
         raise ValueError("card must have length n-1")
     slack = INTERLACE_SLACK * float(np.max(np.abs(lam)))
-    return bool(np.all(lam[:-1] + slack >= mu) and np.all(mu + slack >= lam[1:]))
-
-
-def _checked_deck(parent: EigenBasis, solved_cards: np.ndarray) -> SpectralDeck:
-    """The deck whose padded cards ``_jacobi`` diagonalised, checked against parent."""
-    cards = []
-    for m, a in enumerate(solved_cards):
-        diag = np.diag(a)[:-1]
-        card = cluster_spectrum(diag[np.argsort(-diag, kind="stable")])
-        if not check_interlacing(parent.spectrum, card):
-            raise ConvergenceError(f"deck card {m} violates Cauchy interlacing")
-        cards.append(card)
-    return SpectralDeck(tuple(cards), parent)
+    return np.all(lam[:-1] + slack >= mu, axis=-1) & np.all(mu + slack >= lam[1:], axis=-1)
 
 
 def _solve_stack(decked, plain) -> tuple[list[SpectralDeck], list[EigenBasis]]:
     """The decks of ``decked`` and the bases of ``plain``, from one ``_jacobi`` call.
 
     The stack holds each matrix of ``decked`` followed by its cards, each
-    card A.delete(m) in the top-left corner of an n x n zero matrix, which
-    _jacobi rotates exactly as eigh(A.delete(m)) would; then ``plain``. All
-    matrices have one size n, so each result is bit-identical to ``deck`` or
-    ``eigh`` of that matrix alone.
+    card (A without row and column m) in the top-left corner of an n x n
+    zero matrix, which _jacobi rotates exactly as it would the card alone;
+    then ``plain``. All matrices have one size n, so each result is
+    bit-identical to ``deck`` or ``eigh`` of that matrix alone.
     """
     n = (decked or plain)[0].n
     if decked and n < 2:
@@ -359,10 +351,25 @@ def _solve_stack(decked, plain) -> tuple[list[SpectralDeck], list[EigenBasis]]:
         blocks += [M.entries[None], cards]
     blocks += [M.entries[None] for M in plain]
     a, p = _jacobi(np.concatenate(blocks))
-    tail = len(decked) * (n + 1)
-    decks = [_checked_deck(_basis(a[r], p[r]), a[r + 1:r + n + 1])
-             for r in range(0, tail, n + 1)]
-    return decks, [_basis(a[r], p[r]) for r in range(tail, len(a))]
+    # One pass over the solved stack: every spectrum sorted descending,
+    # every parent or plain basis sign-fixed, every deck checked at once.
+    row = np.arange(len(a))
+    card = (row < len(decked) * (n + 1)) & (row % (n + 1) != 0)
+    diag = np.diagonal(a, axis1=1, axis2=2).copy()
+    diag[card, -1] = -np.inf  # each card's zero pad sorts last
+    order = np.argsort(-diag, axis=1, kind="stable")
+    values = np.take_along_axis(diag, order, axis=1)
+    vectors = canonical_column_signs(
+        np.take_along_axis(p[~card], order[~card][:, None], axis=2))
+    vectors.setflags(write=False)
+    bases = [EigenBasis(cluster_spectrum(v), u) for v, u in zip(values[~card], vectors)]
+    decks = []
+    for parent, cards in zip(bases, values[card, :-1].reshape(len(decked), n, n - 1)):
+        fits = check_interlacing(parent.spectrum, cards)
+        if not fits.all():
+            raise ConvergenceError(f"deck card {np.argmin(fits)} violates Cauchy interlacing")
+        decks.append(SpectralDeck(tuple(map(cluster_spectrum, cards)), parent))
+    return decks, bases[len(decked):]
 
 
 def deck(A: SymmetricMatrix) -> SpectralDeck:

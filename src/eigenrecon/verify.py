@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (EigenBasis, Spectrum, SymmetricMatrix, _solve_stack,
-                   cluster_mean, eigh_stack, scale_exponent)
+                   cluster_mean, eigh_stack, scale_exponent, symmetrized)
 from .secular import lowest_update_pairs
 from .squares import SquareComparison, compare_squares, square_table_from_deck
 
@@ -124,13 +124,17 @@ def _shifts(A: SymmetricMatrix, B: SymmetricMatrix, t_samples):
     return t_samples
 
 
-# An entry past the float range is inf, which SymmetricMatrix rejects.
+# An entry past the float range is inf, which is reported with its shift.
 @np.errstate(over="ignore")
 def _shifted(A: SymmetricMatrix, B: SymmetricMatrix, shifts) -> list[SymmetricMatrix]:
-    """A + t*J and B + t*J for each shift t, in that order."""
-    J = np.ones((A.n, A.n))
-    return [SymmetricMatrix.from_array(M.entries + t * J)
-            for t in shifts for M in (A, B)]
+    """A + t*J and B + t*J for each shift t, in that order, built as one stack."""
+    ts = np.asarray(shifts, dtype=float)
+    m = np.stack([A.entries, B.entries]) + ts[:, None, None, None]
+    bad = np.argwhere(~np.all(np.isfinite(m), axis=(2, 3)))
+    if len(bad):
+        k, j = bad[0]
+        raise ValueError(f"{'AB'[j]} + t*J is not finite at t = {float(ts[k])!r}")
+    return [SymmetricMatrix(s) for s in symmetrized(m.reshape(-1, A.n, A.n))]
 
 
 def _theorem_main(basis_a: EigenBasis, shifts,

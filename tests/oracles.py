@@ -1,7 +1,10 @@
 """Reference formulas for the tests: characteristic-polynomial oracles
-evaluated from a spectrum, and the square table filled cell by cell."""
+evaluated from a spectrum, the square table filled cell by cell, the
+vertex-deleted submatrix, and the stack-first Jacobi kernel."""
 
 import numpy as np
+
+from eigenrecon import core
 
 
 def char_poly_eval(spec, lam: float) -> float:
@@ -53,3 +56,73 @@ def square_table_by_cells(deck):
         if abs(colsum - 1.0) > 1e-8:
             warnings.append(("column_sum", i, colsum))
     return table, simple, warnings
+
+
+def delete(A, i: int):
+    """Principal submatrix of A with row and column i removed (0-based)."""
+    keep = [k for k in range(A.n) if k != i]
+    sub = A.entries[np.ix_(keep, keep)].copy()
+    sub.setflags(write=False)
+    return core.SymmetricMatrix(sub)
+
+
+def reference_jacobi(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``core._jacobi`` with the stack axis first: the same operations in
+    the same order on a (b, 2n, n) working array, a above p on axis 1. The
+    tests hold ``core._jacobi`` to its outputs byte for byte."""
+    b, n, _ = stack.shape
+    e = core.scale_exponent(np.max(np.abs(stack), axis=(1, 2)))[:, None, None]
+    # a on top of p, so one column rotation updates both.
+    work = np.concatenate([np.ldexp(stack, -e),
+                           np.broadcast_to(np.eye(n), (b, n, n))], axis=1)
+    rounds = core._rounds(n)
+    k = np.arange(n)
+    rotated = n > 1
+    sweeps = 0
+    # theta overflows to inf when a_ij is tiny beside a_jj - a_ii, giving
+    # t = 0; pairs that do not rotate may divide by zero: c = 1, s = 0.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while rotated:
+            if sweeps >= core.JACOBI_MAX_SWEEPS:
+                raise core.ConvergenceError(
+                    f"Jacobi failed to converge in {core.JACOBI_MAX_SWEEPS} sweeps"
+                )
+            rotated = False
+            for partner, lo, hi, sign, floor in rounds:
+                apq = work[:, lo, hi]
+                d = np.diagonal(work, axis1=1, axis2=2)
+                root = np.sqrt(np.abs(d))
+                act = np.abs(apq) > np.maximum(1e-15 * root[:, lo] * root[:, hi], floor)
+                rows = act.any(axis=1)
+                if not rows.any():
+                    continue
+                rotated = True
+                w = work
+                if not rows.all():
+                    r = np.flatnonzero(rows)
+                    w, act, apq, d = work[r], act[r], apq[r], d[r]
+                theta = (d[:, hi] - d[:, lo]) / (2.0 * apq)
+                t = np.sign(theta) / (np.abs(theta) + np.hypot(theta, 1.0))
+                t[theta == 0.0] = 1.0
+                c = 1.0 / np.hypot(t, 1.0)
+                # The sign goes on s = 0 too: a row paired with a zero pad
+                # row then keeps its -0.0 entries, as an unpaired row does.
+                s = np.where(act, t * c, 0.0) * sign
+                c = np.where(act, c, 1.0)
+                a = w[:, :n]
+                rows_in = a[:, partner]
+                rows_in *= s[:, :, None]
+                a *= c[:, :, None]
+                a += rows_in
+                cols_in = w[:, :, partner]
+                cols_in *= s[:, None]
+                w *= c[:, None]
+                w += cols_in
+                a[:, k, partner] = np.where(act, 0.0, a[:, k, partner])
+                if w is not work:
+                    work[r] = w
+            sweeps += 1
+        a = np.ldexp(work[:, :n], e)
+    if not np.all(np.isfinite(a)):
+        raise core.ConvergenceError("an eigenvalue lies beyond the float range")
+    return a, work[:, n:]

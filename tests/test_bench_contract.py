@@ -1,16 +1,20 @@
-"""The benchmark's hold on the library, checked without running it.
+"""The benchmark's hold on the library, checked without the harness.
 
 ``bench/tracer.py`` wraps the library functions named in ``TRACED``, and
 ``BENCHMARK.json`` names workloads that ``bench/workloads.py`` must define.
 A rename or deletion on either side would otherwise show only in the
-minutes-long ``bench/selftest.py``. The files are read, never changed.
+minutes-long ``bench/selftest.py``. One seed-7 cycle of each workload must
+give the benchmark's ``sha256_first_cycle``, so a change to any emitted
+digit shows here too. The files are read, never changed.
 """
 
 import importlib.util
 import json
+import platform
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,3 +44,33 @@ def test_declared_workloads_are_defined(monkeypatch):
     assert declared
     for workload in declared:
         assert workload["name"] in workloads.WORKLOADS
+
+
+# sha256_first_cycle of each workload at seed 7. The digests hash raw
+# float bytes, so they hold on the numpy version and machine they were
+# pinned on; elsewhere the last bits of a libm or BLAS call may differ.
+PINNED_NUMPY = "2.4.6"
+PINNED_MACHINE = "x86_64"
+SEED7_DIGESTS = {
+    "reconstruct": "eabb98b99e6e81d0131e5db69cecc6e91a0d3a62e745806c156a6873c7d33ad2",
+    "rank1_stream": "2b280ff542487713e45cd5359efaaeeeb2be52cad34923cfdf943a5363a05027",
+    "pair_verify": "78ebfb1b5cf5a93189fd84c971281af213226f6231c84a36a33bc8190edca482",
+    "cli_oneshot": "fcdc7b4e4933f34a4709a6fdb25f808df5070763b0671b51fd0426bc7b370a1f",
+}
+
+
+def test_first_cycle_digests_are_unchanged(monkeypatch, tmp_path):
+    found = (np.__version__, platform.machine())
+    if found != (PINNED_NUMPY, PINNED_MACHINE):
+        pytest.skip(f"digests pinned on numpy {PINNED_NUMPY} / {PINNED_MACHINE}, "
+                    f"found numpy {found[0]} / {found[1]}")
+    workloads = load_bench_module("workloads", monkeypatch)
+    got = {}
+    for name in SEED7_DIGESTS:
+        wl = workloads.WORKLOADS[name]
+        items = wl.build(np.random.default_rng(7), tmp_path)
+        # The CLI in this process: its stdout, the digested part, is the
+        # same as a child process's.
+        run = workloads.run_cli_in_process if name == "cli_oneshot" else wl.run
+        got[name] = workloads.cycle_digest(wl, items, [run(item) for item in items])
+    assert got == SEED7_DIGESTS

@@ -196,6 +196,32 @@ def test_hostile_flag_exits_2(matrix_file, capsys, argv, message):
     assert message in captured.err
 
 
+def test_tmain_shift_past_float_max_is_named(matrix_file, capsys):
+    # The matrix is finite; A + t*J is not. The error used to blame the input.
+    big = matrix_file("big.txt", "2\n1e308 0\n0 1e308\n")
+    code = cli.main(["tmain", big, big, "--t-samples", "1,1e308,1e308"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: A + t*J is not finite at t = 1e+308\n"
+
+
+def test_t_samples_span_past_float_max():
+    # hi - lo overflowed, so every sample was inf or NaN.
+    assert cli._parse_t_samples("2,-1e308,1e308") == (0.0, 1e308)
+    assert cli._parse_t_samples("4,-1.5e308,1.5e308") == (-7.5e307, 0.0, 7.5e307, 1.5e308)
+
+
+def test_finite_t_samples_keep_their_bits():
+    rng = np.random.default_rng(3)
+    for count in (1, 2, 3, 7, 16):
+        for lo, hi in [(-1.0, -0.0625), (0.1, 0.7), (-3e-300, 2e-300)] + \
+                [tuple((rng.normal(size=2) * 10.0 ** rng.integers(-20, 20)).tolist()) for _ in range(5)]:
+            want = tuple(lo + k * (hi - lo) / count for k in range(1, count + 1))
+            got = cli._parse_t_samples(f"{count},{lo!r},{hi!r}")
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_squares_warnings_on_stderr(matrix_file, capsys, monkeypatch):
     def inconsistent(A):
         d = core.deck(A)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eigenrecon import core, squares
-from oracles import char_poly_derivative_eval, char_poly_eval
+from oracles import char_poly_derivative_eval, char_poly_eval, delete, reference_jacobi
 
 
 def random_symmetric(rng, n):
@@ -123,8 +123,22 @@ class TestDeck:
     def test_interlacing(self):
         A = random_symmetric(np.random.default_rng(17), 8)
         parent = core.eigh(A).spectrum
-        for card in core.deck(A).card_spectra:
-            assert core.check_interlacing(parent, card)
+        cards = [card.values for card in core.deck(A).card_spectra]
+        assert core.check_interlacing(parent, cards).tolist() == [True] * 8
+
+    def test_interlacing_violation_names_first_bad_card(self, monkeypatch):
+        A = random_symmetric(np.random.default_rng(5), 6)
+        solve = core._jacobi
+
+        def corrupt_cards_2_and_4(stack):
+            a, p = solve(stack)
+            a[[3, 5], 0, 0] = 10.0  # above every eigenvalue of A
+            return a, p
+
+        monkeypatch.setattr(core, "_jacobi", corrupt_cards_2_and_4)
+        with pytest.raises(core.ConvergenceError,
+                           match="^deck card 2 violates Cauchy interlacing$"):
+            core.deck(A)
 
     def test_parent_is_eigh_of_matrix(self):
         A = random_symmetric(np.random.default_rng(23), 7)
@@ -186,7 +200,7 @@ class TestStackedJacobi:
         cards = core.deck(A)
         assert same_basis(cards.parent, core.eigh(A))
         for m, card in enumerate(cards.card_spectra):
-            direct = core.eigh(A.delete(m)).spectrum
+            direct = core.eigh(delete(A, m)).spectrum
             assert card.values.tobytes() == direct.values.tobytes()
             assert card.clusters == direct.clusters
 
@@ -205,7 +219,7 @@ class TestStackedJacobi:
         assert same_basis(core.eigh_stack([A, A])[1], core.eigh(A))
         cards = core.deck(A)
         assert cards.card_spectra[2].values.tobytes() == \
-            core.eigh(A.delete(2)).spectrum.values.tobytes()
+            core.eigh(delete(A, 2)).spectrum.values.tobytes()
 
 
 def star(leaves):
@@ -274,7 +288,7 @@ class TestJacobiKernel:
         for entries in hard_matrices(n, 43).values():
             A = core.SymmetricMatrix.from_array(entries)
             for m, card in enumerate(core.deck(A).card_spectra):
-                direct = core.eigh(A.delete(m)).spectrum
+                direct = core.eigh(delete(A, m)).spectrum
                 assert card.values.tobytes() == direct.values.tobytes()
 
     def test_mixed_convergence_stack_matches_one_at_a_time(self):
@@ -291,6 +305,54 @@ class TestJacobiKernel:
 
 
 EXTREME_SCALES = [1e-310, 1e-170, 1e154, 1e200, 1e300]
+
+
+def seeded_stack(rng, b, n):
+    """b symmetric n x n matrices, by index mod 4: uniform; diagonal with
+    -0.0 off the diagonal, so never rotated; zero-padded like a deck card;
+    uniform with -0.0 in the first row and column."""
+    m = rng.uniform(-1.0, 1.0, (b, n, n))
+    m = (m + m.swapaxes(1, 2)) / 2.0
+    m[1::4] = np.where(np.eye(n, dtype=bool), m[1::4], -0.0)
+    if n > 1:
+        m[2::4, -1, :] = m[2::4, :, -1] = 0.0
+        m[3::4, 0, 1:] = m[3::4, 1:, 0] = -0.0
+    return m
+
+
+class TestStackLastKernel:
+    """``core._jacobi`` returns the bytes of the stack-first reference kernel."""
+
+    @staticmethod
+    def assert_same_bytes(stack):
+        for got, want in zip(core._jacobi(stack), reference_jacobi(stack)):
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 12, 32])
+    @pytest.mark.parametrize("b", [1, 2, 13, 50])
+    def test_seeded_stacks(self, b, n):
+        stack = seeded_stack(np.random.default_rng(100 * b + n), b, n)
+        self.assert_same_bytes(stack)
+        if b > 1 and n > 1:
+            assert np.signbit(stack).any()
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_mixed_scales_and_subnormal_matrices(self, n):
+        rng = np.random.default_rng(n)
+        stack = seeded_stack(rng, 24, n)
+        k = rng.integers(-240, 240, size=24)
+        stack = np.ldexp(stack, 2 * k[:, None, None])
+        stack[::5] *= 1e-310 / np.max(np.abs(stack[::5]), axis=(1, 2), keepdims=True)
+        assert np.any((stack != 0) & (np.abs(stack) < np.finfo(float).tiny))
+        self.assert_same_bytes(stack)
+
+    def test_eigenvalue_past_float_max_raises_in_both(self):
+        stack = seeded_stack(np.random.default_rng(9), 3, 2)
+        stack[1] = 1e308
+        for solve in (core._jacobi, reference_jacobi):
+            with pytest.raises(core.ConvergenceError, match="float range"):
+                solve(stack)
 
 
 def extreme_bases():
@@ -314,7 +376,7 @@ class TestExtremeScales:
         cards = core.deck(A)
         self.assert_spectrum(cards.parent.spectrum.values, A.entries)
         for m, card in enumerate(cards.card_spectra):
-            self.assert_spectrum(card.values, A.delete(m).entries)
+            self.assert_spectrum(card.values, delete(A, m).entries)
 
     @pytest.mark.parametrize("scale", [1e8, 1e10, 1e100, 1e200, 1e300])
     @pytest.mark.parametrize("name", ["K12", "K1_8", "C8"])
@@ -327,7 +389,7 @@ class TestExtremeScales:
         A = core.SymmetricMatrix.from_array(graph[name] * scale)
         cards = core.deck(A)
         for m, card in enumerate(cards.card_spectra):
-            self.assert_spectrum(card.values, A.delete(m).entries)
+            self.assert_spectrum(card.values, delete(A, m).entries)
 
     @pytest.mark.parametrize("entries", [[[1e308, 0.0], [0.0, 5e307]],
                                          [[1e308, 0.0], [0.0, -1e308]],
