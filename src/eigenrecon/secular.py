@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Diagnostic, EigenBasis, Spectrum, SymmetricMatrix,
+from .core import (FLOAT_MAX, Diagnostic, EigenBasis, Spectrum, SymmetricMatrix,
                    canonical_column_signs, cluster_mean, cluster_spectrum,
                    default_cluster_tol, eigh_stack)
 
@@ -38,17 +38,14 @@ class BracketError(RuntimeError):
 class SecularSystem:
     """Poles, aggregated weights and scale defining P_t(lambda).
 
-    ``poles`` holds one representative eigenvalue per cluster (descending);
-    ``weights`` the aggregated q_i^2 per cluster; ``active`` the cluster
-    indices whose weight survives deflation, and ``active_poles`` and
-    ``active_weights`` the poles and weights at those indices.
+    ``active`` holds the indices of the clusters whose aggregated weight
+    survives deflation, ``active_poles`` their representative eigenvalues
+    (descending) and ``active_weights`` their aggregated q_i^2.
     """
 
     lambdas: Spectrum
     q: np.ndarray
     t: float
-    poles: np.ndarray
-    weights: np.ndarray
     active: tuple[int, ...]
     active_poles: np.ndarray
     active_weights: np.ndarray
@@ -93,10 +90,9 @@ def build_secular(basis: EigenBasis, x, t: float) -> SecularSystem:
     active = tuple(k for k in range(len(weights)) if t != 0.0 and weights[k] > floor)
     active_poles = poles[list(active)]
     active_weights = weights[list(active)]
-    for arr in (poles, weights, active_poles, active_weights):
+    for arr in (active_poles, active_weights):
         arr.setflags(write=False)
-    return SecularSystem(spec, q, float(t), poles, weights, active,
-                         active_poles, active_weights)
+    return SecularSystem(spec, q, float(t), active, active_poles, active_weights)
 
 
 def secular_eval(sys: SecularSystem, lam: float) -> float:
@@ -123,100 +119,163 @@ def _bisect(f, lo: float, hi: float, f_lo: float, unit: float) -> float:
     raise BracketError("bisection failed to converge within iteration cap")
 
 
-def _open_at_pole(f, pole: float, side: int, limit: float,
-                  unit: float) -> tuple[float, float]:
-    # f has a negative scale, so it diverges to +inf above each pole and to
-    # -inf below it. Step off the pole toward `limit` until the evaluated
-    # sign matches, halving the offset while the point is at or past
-    # `limit`; the first offset almost always suffices. Once the offset
-    # falls below half the float spacing at the pole, pole + off rounds back
-    # to the pole and no bracket is left to open.
-    off = POLE_OFFSET_SCALE * max(unit, abs(pole))
-    for _ in range(80):
-        point = pole + side * off
-        if point == pole:
+def _bisect_all(f, rows, lo, hi, f_lo, unit) -> tuple[np.ndarray, np.ndarray]:
+    """``_bisect`` for the brackets ``rows`` in lockstep: roots and a converged mask."""
+    root = np.full(len(rows), np.nan)
+    live = np.arange(len(rows))  # lo, hi, f_lo and unit follow it as it shrinks
+    for _ in range(MAX_BISECT):
+        if not live.size:
             break
-        if point < limit if side > 0 else point > limit:
-            value = f(point)
-            if value == 0.0 or (value > 0.0) == (side > 0):
-                return point, value
+        mid = 0.5 * lo + 0.5 * hi
+        done = ((hi - lo <= ROOT_WIDTH_TOL * np.maximum(unit, np.abs(mid)))
+                | (mid == lo) | (mid == hi))
+        f_mid = f(rows[live[~done]], mid[~done])
+        done[~done] = f_mid == 0.0
+        if done.any():
+            root[live[done]] = mid[done]
+            keep = ~done
+            live, lo, hi, f_lo, unit, mid = (a[keep] for a in (live, lo, hi, f_lo, unit, mid))
+            f_mid = f_mid[f_mid != 0.0]
+        up = (f_mid > 0.0) == (f_lo > 0.0)
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    converged = np.ones(len(rows), dtype=bool)
+    converged[live] = False
+    return root, converged
+
+
+def _open_at_poles(f, rows, pole, side: int, limit,
+                   unit) -> tuple[np.ndarray, np.ndarray]:
+    """Step off each pole toward ``limit`` until f there has the sign of ``side``.
+
+    f has a negative scale, so it diverges to +inf above each pole and to
+    -inf below it. The offset halves while the point is at or past
+    ``limit`` or f has the wrong sign; the first offset almost always
+    suffices. Once the offset falls below half the float spacing at the
+    pole, pole + off rounds back to the pole and no bracket is left to open:
+    such a bracket keeps NaN as its point and value.
+    """
+    off = POLE_OFFSET_SCALE * np.maximum(unit, np.abs(pole))
+    point = np.full(len(rows), np.nan)
+    value = np.full(len(rows), np.nan)
+    live = np.ones(len(rows), dtype=bool)
+    for _ in range(80):
+        trial = pole + side * off
+        live &= trial != pole
+        b = np.flatnonzero(live & ((trial < limit) if side > 0 else (trial > limit)))
+        v = f(rows[b], trial[b])
+        ok = (v == 0.0) | ((v > 0.0) == (side > 0))
+        b, v = b[ok], v[ok]
+        point[b], value[b] = trial[b], v
+        live[b] = False
+        if not live.any():
+            break
         off *= 0.5
-    raise BracketError(f"could not open a bracket at pole y = {pole}")
+    return point, value
 
 
-def _reflect(sys: SecularSystem):
-    """s = sign(-t), the active poles in y = s*lambda (descending) and P_t in y."""
-    if sys.t == 0.0:
-        raise ValueError("t = 0 has no secular roots")
-    if not sys.active:
-        raise ValueError("active set is empty, nothing to solve")
-    s = 1.0 if sys.t < 0.0 else -1.0
+def _open_brackets(sys: SecularSystem, t: np.ndarray, upper: np.ndarray,
+                   lower: np.ndarray, j: np.ndarray):
+    """Open one bracket per shift t[b], all in lockstep, in y.
 
-    def f(y: float) -> float:
-        return secular_eval(sys, s * y)
+    The shifts share the active poles and weights of ``sys``, whose own t is
+    not read. Bracket b holds root j[b] of P_t[b] in y = s*lambda with
+    s = sign(-t[b]): it lies below the pole upper[b] and above the pole
+    lower[b], or, where lower[b] is -inf, below upper[b], the lowest pole.
+    There the search walks down from the pole in steps of cap, the reach of
+    the roots, and stops at -FLOAT_MAX: a root below that is not finite.
+    Cap and unit are those of each shift.
 
-    return s, np.sort(s * sys.active_poles)[::-1], f
+    Returns f (P_t in y, one row per bracket), the unit, the ends lo and hi
+    with f at lo, the root of each bracket where f vanishes at an end (NaN
+    elsewhere), and the BracketError message of each bracket that failed.
+    """
+    s = np.where(t < 0.0, 1.0, -1.0)
+    cap = np.abs(t) * float(np.sum(sys.active_weights)) + sys.lambdas.spread
+    unit = np.minimum(1.0, cap)
+    tw = t[:, None] * sys.active_weights
+
+    def f(rows, y):
+        # secular_eval at lambda = s*y, one row per bracket.
+        lam = (s[rows] * y)[:, None]
+        at_pole = sys.active_poles == lam
+        if at_pole.any():
+            raise ZeroDivisionError(
+                f"evaluation at active pole lambda={lam[at_pole.any(axis=1)][0, 0]}")
+        return 1.0 + np.sum(tw[rows] / (sys.active_poles - lam), axis=1)
+
+    errors = {}
+    hi, f_hi = _open_at_poles(f, np.arange(len(t)), upper, -1, lower, unit)
+    ok = ~np.isnan(hi)
+    for b in np.flatnonzero(~ok):
+        errors[b] = f"could not open a bracket at pole y = {upper[b]}"
+    lo, f_lo = np.full(len(t), np.nan), np.full(len(t), np.nan)
+    rows = np.flatnonzero(ok & (lower > -np.inf))
+    lo[rows], f_lo[rows] = _open_at_poles(f, rows, lower[rows], +1, upper[rows],
+                                          unit[rows])
+    for b in rows[np.isnan(lo[rows])]:
+        errors[b] = f"could not open a bracket at pole y = {lower[b]}"
+    walk = np.flatnonzero(ok & (lower == -np.inf))
+    lo[walk] = upper[walk]
+    for _ in range(81):
+        lo[walk] = np.maximum(lo[walk] - cap[walk], -FLOAT_MAX)
+        f_lo[walk] = f(walk, lo[walk])
+        walk = walk[~(f_lo[walk] > 0.0)]
+        for b in walk[lo[walk] == -FLOAT_MAX]:
+            errors[b] = f"root {j[b]} in y is not finite: -inf"
+        walk = walk[lo[walk] > -FLOAT_MAX]
+        if not walk.size:
+            break
+
+    root = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, np.nan))
+    for b in np.flatnonzero(np.isnan(root) & ((f_lo > 0.0) == (f_hi > 0.0))):
+        errors.setdefault(b, f"no sign change on bracket for root {j[b]} in y")
+    return f, unit, lo, hi, f_lo, root, errors
 
 
 # Next to a pole a term of P_t can pass the float range (a zero matrix at
 # 1e300, say, where the offsets stay absolute); the inf keeps the sign that
 # every bracket decision reads.
 @np.errstate(over="ignore")
-def _bracket_root(f, poles: np.ndarray, j: int, cap: float) -> float:
-    """The root of f in (poles[j + 1], poles[j]), or below poles[-1] for the last j.
-
-    f is P_t in y with poles ``poles`` (descending) and a negative scale;
-    ``cap`` is the reach of the roots. A root that is not finite (the lowest
-    bracket opened past the float range) raises BracketError.
-    """
-    unit = min(1.0, cap)
-    hi, f_hi = _open_at_pole(
-        f, poles[j], -1, poles[j + 1] if j + 1 < len(poles) else -np.inf, unit,
-    )
-    if j + 1 < len(poles):
-        lo, f_lo = _open_at_pole(f, poles[j + 1], +1, poles[j], unit)
-    else:
-        lo = poles[-1] - cap
-        f_lo = f(lo)
-        for _ in range(80):
-            if f_lo > 0.0:
-                break
-            lo -= cap
-            f_lo = f(lo)
-    if f_lo == 0.0:
-        root = lo
-    elif f_hi == 0.0:
-        root = hi
-    elif (f_lo > 0.0) == (f_hi > 0.0):
-        raise BracketError(f"no sign change on bracket for root {j} in y")
-    else:
-        root = _bisect(f, lo, hi, f_lo, unit)
-    if not math.isfinite(root):
-        raise BracketError(f"root {j} in y is not finite: {root}")
-    return root
-
-
 def secular_roots(sys: SecularSystem) -> np.ndarray:
     """All roots of P_t over the active poles, sorted descending.
 
     For t < 0 the roots sit strictly below their poles (one per gap plus one
     below the lowest active pole); for t > 0 strictly above. Both cases run
-    one loop in the coordinate y = s*lambda with s = sign(-t): there P_t has
-    poles s*lambda_k and a negative scale, so every root lies below its pole.
-    Each root is found by bisection on a sign-change bracket, so monotonicity
-    of P_t on the bracket guarantees uniqueness. Negation is exact in IEEE
-    arithmetic, so the t > 0 brackets, midpoints and evaluations are the
-    exact mirror images of a direct search above the poles. Widths and
-    offsets are relative to max(|y|, min(1, cap)), with ``cap`` the reach of
-    the roots, so they scale with the system below unit scale. BracketError
-    messages name poles and roots (counted descending) in y.
+    in the coordinate y = s*lambda with s = sign(-t): there P_t has poles
+    s*lambda_k and a negative scale, so every root lies below its pole.
+    Every bracket is opened in one ``_open_brackets`` call, and each root is
+    then bisected on its sign-change bracket, in root order, so
+    monotonicity of P_t on the bracket guarantees uniqueness. Negation is
+    exact in IEEE arithmetic, so the t > 0 brackets, midpoints and
+    evaluations are the exact mirror images of a direct search above the
+    poles. Widths and offsets are relative to max(|y|, min(1, cap)), with
+    ``cap`` the reach of the roots, so they scale with the system below unit
+    scale. The root below the lowest pole is searched for down to the float
+    maximum and no further. The first failing root raises BracketError,
+    whose message names poles and roots (counted descending) in y.
     """
-    s, poles, f = _reflect(sys)
-    cap = sys.cap
-    roots = [_bracket_root(f, poles, j, cap) for j in range(len(poles))]
-    if s < 0.0:
-        roots.reverse()
-    return s * np.array(roots)
+    if sys.t == 0.0:
+        raise ValueError("t = 0 has no secular roots")
+    if not sys.active:
+        raise ValueError("active set is empty, nothing to solve")
+    s = 1.0 if sys.t < 0.0 else -1.0
+    poles = np.sort(s * sys.active_poles)[::-1]
+    k = len(poles)
+    _, unit, lo, hi, f_lo, roots, errors = _open_brackets(
+        sys, np.full(k, sys.t), poles, np.append(poles[1:], -np.inf), np.arange(k))
+
+    def f(y: float) -> float:
+        return secular_eval(sys, s * y)
+
+    # Python floats: the same IEEE double arithmetic as numpy scalars, faster.
+    brackets = zip(lo.tolist(), hi.tolist(), f_lo.tolist(), unit.tolist())
+    for j, bracket in enumerate(brackets):
+        if j in errors:
+            raise BracketError(errors[j])
+        if np.isnan(roots[j]):
+            roots[j] = _bisect(f, *bracket)
+    return s * (roots[::-1] if s < 0.0 else roots)
 
 
 @dataclass(frozen=True)
@@ -247,8 +306,9 @@ def _retained(spec: Spectrum, sys: SecularSystem) -> list[int]:
             for i in (cluster[1:] if k in active_set else cluster)]
 
 
-# A difference pole - mu past the float range gives a zero coefficient, which
-# is right to float precision; a vector that is not finite raises instead.
+# A difference pole - mu that exceeds the smallest one by more than the float
+# range gives a zero coefficient, which is right to float precision; a vector
+# that is not finite raises instead.
 @np.errstate(over="ignore", invalid="ignore")
 def _root_vectors(basis: EigenBasis, sys: SecularSystem, roots) -> np.ndarray:
     """Unit eigenvectors (columns) of A + t*x*x^T for the given roots.
@@ -258,11 +318,19 @@ def _root_vectors(basis: EigenBasis, sys: SecularSystem, roots) -> np.ndarray:
     """
     clusters = basis.spectrum.clusters
     active_indices = [i for k in sys.active for i in clusters[k]]
-    pole_of = np.array([sys.poles[k] for k in sys.active for _ in clusters[k]])
+    pole_of = np.repeat(sys.active_poles, [len(clusters[k]) for k in sys.active])
     q_active = sys.q[active_indices]
     p_active = basis.vectors[:, active_indices]
-    coefs = [q_active / (pole_of - mu) for mu in roots]
-    # An exact power-of-two rescale keeps the norm in range.
+    # Exact power-of-two rescales, which cancel in the normalized vector: the
+    # differences are taken in halves where they could overflow, and scaled
+    # so that the smallest is not subnormal; the coefficients so that the
+    # norm stays in range.
+    peak = np.max(np.abs(pole_of))
+    coefs = []
+    for mu in roots:
+        k = int(max(peak, abs(mu)) > FLOAT_MAX / 2)
+        d = np.ldexp(pole_of, -k) - np.ldexp(mu, -k)
+        coefs.append(q_active / np.ldexp(d, -np.frexp(np.min(np.abs(d)))[1]))
     vs = [p_active @ np.ldexp(c, -np.frexp(np.max(np.abs(c)))[1]) for c in coefs]
     vectors = canonical_column_signs(
         np.column_stack([v / np.linalg.norm(v) for v in vs]))
@@ -304,134 +372,20 @@ def rank1_update(basis: EigenBasis, x, t: float) -> UpdateResult:
                         tuple(e[2] for e in entries), tuple(warnings), sys)
 
 
-def _open_at_poles(f, rows, pole, side: int, limit,
-                   unit) -> tuple[np.ndarray, np.ndarray]:
-    """``_open_at_pole`` for the brackets ``rows`` in lockstep.
-
-    Returns the points and the values of f there; a bracket that does not
-    open keeps NaN in both.
-    """
-    off = POLE_OFFSET_SCALE * np.maximum(unit, np.abs(pole))
-    point = np.full(len(rows), np.nan)
-    value = np.full(len(rows), np.nan)
-    live = np.ones(len(rows), dtype=bool)
-    for _ in range(80):
-        trial = pole + side * off
-        live &= trial != pole
-        b = np.flatnonzero(live & ((trial < limit) if side > 0 else (trial > limit)))
-        v = f(rows[b], trial[b])
-        ok = (v == 0.0) | ((v > 0.0) == (side > 0))
-        b, v = b[ok], v[ok]
-        point[b], value[b] = trial[b], v
-        live[b] = False
-        if not live.any():
-            break
-        off *= 0.5
-    return point, value
-
-
-def _bisect_all(f, rows, lo, hi, f_lo, unit) -> tuple[np.ndarray, np.ndarray]:
-    """``_bisect`` for the brackets ``rows`` in lockstep: roots and a converged mask."""
-    root = np.full(len(rows), np.nan)
-    live = np.arange(len(rows))  # lo, hi, f_lo and unit follow it as it shrinks
-    for _ in range(MAX_BISECT):
-        if not live.size:
-            break
-        mid = 0.5 * lo + 0.5 * hi
-        done = ((hi - lo <= ROOT_WIDTH_TOL * np.maximum(unit, np.abs(mid)))
-                | (mid == lo) | (mid == hi))
-        f_mid = f(rows[live[~done]], mid[~done])
-        done[~done] = f_mid == 0.0
-        if done.any():
-            root[live[done]] = mid[done]
-            keep = ~done
-            live, lo, hi, f_lo, unit, mid = (a[keep] for a in (live, lo, hi, f_lo, unit, mid))
-            f_mid = f_mid[f_mid != 0.0]
-        up = (f_mid > 0.0) == (f_lo > 0.0)
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
-    converged = np.ones(len(rows), dtype=bool)
-    converged[live] = False
-    return root, converged
-
-
-@np.errstate(over="ignore")
-def _bracket_roots(sys: SecularSystem, t: np.ndarray, upper: np.ndarray,
-                   lower: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """``_bracket_root`` for one bracket per shift t[b], all in lockstep, in y.
-
-    The shifts share the active poles and weights of ``sys``, whose own t is
-    not read. Bracket b holds root j[b] of P_t[b] in y = s*lambda with
-    s = sign(-t[b]): it lies below the pole upper[b] and above the pole
-    lower[b], or, where lower[b] is -inf, below upper[b], the lowest pole.
-    Each bracket takes the steps ``_bracket_root`` takes for it alone, with
-    the same floating-point operations, so its root is bit-identical; cap
-    and unit are those of its shift. A bracket that fails drops out, and
-    once the rest are solved the first failure raises ``_bracket_root``'s
-    BracketError.
-    """
-    s = np.where(t < 0.0, 1.0, -1.0)
-    cap = np.abs(t) * float(np.sum(sys.active_weights)) + sys.lambdas.spread
-    unit = np.minimum(1.0, cap)
-    tw = t[:, None] * sys.active_weights
-
-    def f(rows, y):
-        # secular_eval at lambda = s*y, one row per bracket.
-        lam = (s[rows] * y)[:, None]
-        at_pole = sys.active_poles == lam
-        if at_pole.any():
-            raise ZeroDivisionError(
-                f"evaluation at active pole lambda={lam[at_pole.any(axis=1)][0, 0]}")
-        return 1.0 + np.sum(tw[rows] / (sys.active_poles - lam), axis=1)
-
-    errors = {}
-    hi, f_hi = _open_at_poles(f, np.arange(len(t)), upper, -1, lower, unit)
-    ok = ~np.isnan(hi)
-    for b in np.flatnonzero(~ok):
-        errors[b] = f"could not open a bracket at pole y = {upper[b]}"
-    lo, f_lo = np.full(len(t), np.nan), np.full(len(t), np.nan)
-    rows = np.flatnonzero(ok & (lower > -np.inf))
-    lo[rows], f_lo[rows] = _open_at_poles(f, rows, lower[rows], +1, upper[rows],
-                                          unit[rows])
-    for b in rows[np.isnan(lo[rows])]:
-        ok[b] = False
-        errors[b] = f"could not open a bracket at pole y = {lower[b]}"
-    walk = np.flatnonzero(ok & (lower == -np.inf))
-    lo[walk] = upper[walk] - cap[walk]
-    f_lo[walk] = f(walk, lo[walk])
-    for _ in range(80):
-        walk = walk[~(f_lo[walk] > 0.0)]
-        if not walk.size:
-            break
-        lo[walk] -= cap[walk]
-        f_lo[walk] = f(walk, lo[walk])
-
-    root = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, np.nan))
-    split = ok & (f_lo != 0.0) & (f_hi != 0.0)
-    for b in np.flatnonzero(split & ((f_lo > 0.0) == (f_hi > 0.0))):
-        errors[b] = f"no sign change on bracket for root {j[b]} in y"
-    rows = np.flatnonzero(split & ((f_lo > 0.0) != (f_hi > 0.0)))
-    root[rows], converged = _bisect_all(f, rows, lo[rows], hi[rows], f_lo[rows],
-                                        unit[rows])
-    for b in rows[~converged]:
-        errors[b] = "bisection failed to converge within iteration cap"
-    for b in np.flatnonzero(~np.isfinite(root)):
-        errors.setdefault(b, f"root {j[b]} in y is not finite: {root[b]}")
-    if errors:
-        raise BracketError(errors[min(errors)])
-    return root
-
-
+@np.errstate(over="ignore")  # as in secular_roots
 def lowest_update_pairs(basis: EigenBasis, x,
                         ts) -> list[tuple[float, np.ndarray | None]]:
     """``rank1_update(basis, x, t)``'s ``values[-1]`` and ``vectors[-1]`` per t, bit for bit.
 
     The active set depends on t only through t != 0, so one projection
     serves every shift. Only the bracket of each lowest root is solved, all
-    in one ``_bracket_roots`` call: in y = s*lambda with s = sign(-t) that
-    is the last bracket for t < 0 and the first for t > 0. For t > 0 that
-    root lies above the lowest active pole, so a retained value at or below
-    the pole is the lowest and the bracket is skipped. The vector is None
+    in one ``_open_brackets`` and one ``_bisect_all`` call: in y = s*lambda
+    with s = sign(-t) that is the last bracket for t < 0 and the first for
+    t > 0. Each takes the steps ``secular_roots`` takes for it, with the same
+    floating-point operations, so its root is bit-identical, and the first
+    failing shift raises its BracketError. For t > 0 that root lies above
+    the lowest active pole, so a retained value at or below the pole is the
+    lowest and the bracket is skipped. The vector is None
     when the lowest value is retained (t = 0, or a retained value below the
     root); on a tie the root wins, as in the stable sort of
     ``rank1_update``. The root vectors come from one ``_root_vectors`` call.
@@ -456,8 +410,18 @@ def lowest_update_pairs(basis: EigenBasis, x,
     # In y the bracket lies below s*lowest[0]; for t > 0 it lies above
     # -lowest[1] when there is a second active pole.
     second = -lowest[1] if len(lowest) > 1 else -np.inf
-    mu = s * _bracket_roots(sys, t, s * lowest[0], np.where(s > 0.0, -np.inf, second),
-                            np.where(s > 0.0, len(sys.active) - 1, 0))
+    f, unit, lo, hi, f_lo, root, errors = _open_brackets(
+        sys, t, s * lowest[0], np.where(s > 0.0, -np.inf, second),
+        np.where(s > 0.0, len(sys.active) - 1, 0))
+    rows = np.flatnonzero(np.isnan(root))
+    rows = rows[~np.isin(rows, list(errors))]
+    root[rows], converged = _bisect_all(f, rows, lo[rows], hi[rows], f_lo[rows],
+                                        unit[rows])
+    for b in rows[~converged]:
+        errors[b] = "bisection failed to converge within iteration cap"
+    if errors:
+        raise BracketError(errors[min(errors)])
+    mu = s * root
     wins = np.flatnonzero(~(low < mu))
     if wins.size:
         vectors = _root_vectors(basis, sys, mu[wins])

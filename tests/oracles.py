@@ -1,10 +1,11 @@
 """Reference formulas for the tests: characteristic-polynomial oracles
 evaluated from a spectrum, the square table filled cell by cell, the
-vertex-deleted submatrix, and the stack-first Jacobi kernel."""
+vertex-deleted submatrix, the stack-first Jacobi kernel and the scalar
+secular bracket search."""
 
 import numpy as np
 
-from eigenrecon import core
+from eigenrecon import core, secular
 
 
 def char_poly_eval(spec, lam: float) -> float:
@@ -126,3 +127,79 @@ def reference_jacobi(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(a)):
         raise core.ConvergenceError("an eigenvalue lies beyond the float range")
     return a, work[:, n:]
+
+
+def bisect(f, lo: float, hi: float, f_lo: float, unit: float) -> float:
+    """Bisection of the monotone f on (lo, hi), f_lo carrying the sign of f at lo."""
+    for _ in range(secular.MAX_BISECT):
+        mid = 0.5 * lo + 0.5 * hi  # halves first: lo + hi can overflow
+        if hi - lo <= secular.ROOT_WIDTH_TOL * max(unit, abs(mid)) or mid in (lo, hi):
+            return mid
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    raise secular.BracketError("bisection failed to converge within iteration cap")
+
+
+def open_at_pole(f, pole: float, side: int, limit: float,
+                 unit: float) -> tuple[float, float]:
+    """Step off the pole toward ``limit`` until f has the sign of ``side``,
+    halving the offset while the point is at or past ``limit``."""
+    off = secular.POLE_OFFSET_SCALE * max(unit, abs(pole))
+    for _ in range(80):
+        point = pole + side * off
+        if point == pole:
+            break
+        if point < limit if side > 0 else point > limit:
+            value = f(point)
+            if value == 0.0 or (value > 0.0) == (side > 0):
+                return point, value
+        off *= 0.5
+    raise secular.BracketError(f"could not open a bracket at pole y = {pole}")
+
+
+def reflect(sys):
+    """s = sign(-t), the active poles in y = s*lambda (descending) and P_t in y."""
+    s = 1.0 if sys.t < 0.0 else -1.0
+
+    def f(y: float) -> float:
+        return secular.secular_eval(sys, s * y)
+
+    return s, np.sort(s * sys.active_poles)[::-1], f
+
+
+@np.errstate(over="ignore")
+def bracket_root(f, poles: np.ndarray, j: int, cap: float) -> float:
+    """The root of f in (poles[j + 1], poles[j]), or below poles[-1] for the
+    last j, one bracket at a time: the search ``secular`` ran before its
+    brackets were opened in lockstep. The walk below the lowest pole has no
+    floor, so near the float maximum it can reach -inf."""
+    unit = min(1.0, cap)
+    hi, f_hi = open_at_pole(
+        f, poles[j], -1, poles[j + 1] if j + 1 < len(poles) else -np.inf, unit,
+    )
+    if j + 1 < len(poles):
+        lo, f_lo = open_at_pole(f, poles[j + 1], +1, poles[j], unit)
+    else:
+        lo = poles[-1] - cap
+        f_lo = f(lo)
+        for _ in range(80):
+            if f_lo > 0.0:
+                break
+            lo -= cap
+            f_lo = f(lo)
+    if f_lo == 0.0:
+        root = lo
+    elif f_hi == 0.0:
+        root = hi
+    elif (f_lo > 0.0) == (f_hi > 0.0):
+        raise secular.BracketError(f"no sign change on bracket for root {j} in y")
+    else:
+        root = bisect(f, lo, hi, f_lo, unit)
+    if not np.isfinite(root):
+        raise secular.BracketError(f"root {j} in y is not finite: {root}")
+    return root

@@ -391,15 +391,42 @@ def test_rank1_near_float_max(matrix_file, capsys):
 
 
 def test_rank1_non_finite_root_exits_3(matrix_file, capsys):
-    # The eigenvalues are finite, but a secular bracket opens past the float
-    # range: one error line instead of Infinity and NaN with exit 0.
+    # The eigenvalue 1e308 * (1 + sqrt 2) lies past the float range: one
+    # error line instead of Infinity and NaN with exit 0.
     a = matrix_file("a.txt", "2\n1e308 0\n0 -1e308\n")
-    code = cli.main(["rank1", a, "--x", "ones", "--t=1e300"])
+    code = cli.main(["rank1", a, "--x", "ones", "--t=1e308"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "not finite" in captured.err
+
+
+@pytest.mark.parametrize("diagonal, t", [
+    ((1e308, 1e308), 2.5e307),
+    ((1e308, -1e308), 1e300),
+    ((1e308, -1e308), -1e300),
+])
+def test_rank1_root_below_lowest_pole_near_float_max(matrix_file, capsys, diagonal, t):
+    # The search below the lowest pole used to step past -inf and exit 3,
+    # although every eigenvalue is finite.
+    A = core.SymmetricMatrix.from_array(np.diag(diagonal))
+    code, out = run(capsys, "rank1", matrix_file("a.txt", core.format_matrix(A)),
+                    "--x", "ones", f"--t={t}")
+    assert code == 0
+    expected = 1e308 * np.linalg.eigvalsh(np.diag(diagonal) / 1e308 + t / 1e308)[::-1]
+    values = [e["value"] for e in json.loads(out)["eigenvalues"]]
+    assert values == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("subcommand", ["tmain", "gm-verify"])
+def test_subnormal_pair_verifies_against_itself(matrix_file, capsys, subcommand):
+    # The secular root of 1e-310 * I3 + t * J lies a subnormal distance
+    # from its pole; its eigenvector used to come out not finite (exit 3).
+    a = matrix_file("a.txt", "3\n1e-310 0 0\n0 1e-310 0\n0 0 1e-310\n")
+    code, out = run(capsys, subcommand, a, a)
+    assert code == 0
+    assert json.loads(out)["pass"] is True
 
 
 @pytest.mark.parametrize("subcommand", ["eig", "deck", "squares"])

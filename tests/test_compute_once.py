@@ -1,9 +1,11 @@
-"""Each n x n decomposition is computed once per operation.
+"""Each n x n decomposition is computed once per operation, and the
+secular brackets of an operation are opened in one call.
 
 Every solve goes through the kernel ``core._jacobi`` (``eigh``, ``deck``,
-``eigh_stack`` and ``verify_gm`` all call it), so only the kernel is
-wrapped. Solved matrices are counted by their entries, so deck cards
-(zero-padded submatrices of A) do not count as A.
+``eigh_stack`` and ``verify_gm`` all call it), so of the solvers only the
+kernel is wrapped. Solved matrices are counted by their entries, so deck
+cards (zero-padded submatrices of A) do not count as A. Every secular
+bracket is opened by ``secular._open_brackets``, which is wrapped too.
 """
 
 import numpy as np
@@ -78,22 +80,34 @@ def test_two_matrix_checks_solve_one_stack(monkeypatch, check):
     assert np.array_equal(stacks[0], [A.entries, second])
 
 
-def test_theorem_main_solves_one_bracket_per_nonzero_shift(monkeypatch):
-    # Only the bracket of the lowest root of A + tJ: the last in y for t < 0,
-    # the first for t > 0, none for t = 0, all in one lockstep call;
-    # rank1_update is never called.
+@pytest.fixture
+def opened(monkeypatch):
+    """The (t, j) arguments of each call of the bracket opener."""
     calls = []
-    original = secular._bracket_roots
+    original = secular._open_brackets
 
-    def recording_bracket_roots(sys, t, upper, lower, j):
-        calls.append((tuple(t), tuple(j), len(sys.active_poles)))
+    def recording_open_brackets(sys, t, upper, lower, j):
+        calls.append((tuple(t.tolist()), tuple(j.tolist())))
         return original(sys, t, upper, lower, j)
 
+    monkeypatch.setattr(secular, "_open_brackets", recording_open_brackets)
+    return calls
+
+
+def test_rank1_update_opens_every_bracket_in_one_call(opened):
+    A = random_symmetric(12, 6)
+    secular.rank1_update(core.eigh(A), np.arange(1.0, 7.0), -0.4)
+    assert opened == [((-0.4,) * 6, tuple(range(6)))]
+
+
+def test_theorem_main_solves_one_bracket_per_nonzero_shift(monkeypatch, opened):
+    # Only the bracket of the lowest root of A + tJ: the last in y for t < 0,
+    # the first for t > 0, none for t = 0, all opened in one lockstep call;
+    # rank1_update is never called.
     def forbidden(*args, **kwargs):
         raise AssertionError("theorem-main called rank1_update")
 
-    monkeypatch.setattr(secular, "_bracket_roots", recording_bracket_roots)
     monkeypatch.setattr(secular, "rank1_update", forbidden)
     A, B = random_symmetric(10, 5), random_symmetric(11, 5)
     verify.verify_theorem_main(A, B, (-0.75, 0.0, 0.5, -0.25))
-    assert calls == [((-0.75, 0.5, -0.25), (4, 0, 4), 5)]
+    assert opened == [((-0.75, 0.5, -0.25), (4, 0, 4))]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from eigenrecon import core, secular
 from oracles import char_poly_eval
 
@@ -21,6 +22,40 @@ def random_instance(rng, n):
     return A, x
 
 
+def secular_family(rng, k):
+    """System k of six seeded families as (basis, x, t), with n = 1-32
+    (log-uniform): uniform spectra, poles 1e-7 apart, weights graded over
+    six decades, 1e6 scale with t = +-1e-6 (where some brackets do not
+    open), 4^k scales and repeated eigenvalues. The matrices are diagonal:
+    the secular search sees only the spectrum and the projection of x."""
+    n = int(round(2.0 ** rng.uniform(0.0, 5.0)))
+    values = rng.uniform(-1, 1, n)
+    x = rng.uniform(-1, 1, n)
+    t = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
+    kind = k % 6
+    if kind == 1:
+        values = rng.choice(rng.uniform(-1, 1, 3), n) + 1e-7 * np.arange(n)
+    elif kind == 2:
+        x = rng.choice([-1.0, 1.0], n) * 10.0 ** (-3.0 * rng.permutation(n)
+                                                   / max(n - 1, 1))
+    elif kind == 3:
+        values, t = 1e6 * values, rng.choice([-1e-6, 1e-6])
+    elif kind == 4:
+        scale = 4.0 ** int(rng.integers(-20, 21))
+        values, t = scale * values, scale * t
+    elif kind == 5:
+        values = rng.integers(-3, 4, n).astype(float)
+    return core.eigh(core.SymmetricMatrix.from_array(np.diag(values))), x, t
+
+
+def outcome(solve):
+    """The bytes of the float ``solve()`` returns, or its BracketError text."""
+    try:
+        return np.float64(solve()).tobytes()
+    except secular.BracketError as exc:
+        return str(exc)
+
+
 class TestBuildSecular:
     def test_basis_vector(self):
         basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([2.0, 0.0])))
@@ -32,9 +67,9 @@ class TestBuildSecular:
     def test_zero_matrix_single_cluster(self):
         basis = core.eigh(core.SymmetricMatrix.from_array(np.zeros((2, 2))))
         sys = secular.build_secular(basis, np.array([1.0, 1.0]), 1.0)
-        assert len(sys.poles) == 1
-        assert sys.weights[0] == pytest.approx(2.0)
-        assert len(sys.active) == 1
+        assert sys.active == (0,)
+        assert len(sys.active_poles) == 1
+        assert sys.active_weights[0] == pytest.approx(2.0)
 
     def test_orthogonal_cluster_deflated(self):
         basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([2.0, 0.0])))
@@ -300,12 +335,42 @@ class TestRank1Update:
             np.testing.assert_array_equal(r.vectors[0], [1.0])
 
     def test_root_past_float_max_raises_bracket_error(self):
-        # The true eigenvalues of diag(1e308, -1e308) + 1e300 * J are finite,
-        # but the bracket below the lowest pole in y opens past -inf.
+        # diag(1e308, -1e308) + t * J has the eigenvalue +-1e308 * (1 + sqrt 2)
+        # at t = +-1e308: the walk below the lowest pole in y ends at the
+        # float maximum without passing the root.
         basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([1e308, -1e308])))
-        for t in (1e300, -1e300):
-            with pytest.raises(secular.BracketError, match="root 1 in y is not finite"):
+        for t in (1e308, -1e308):
+            with pytest.raises(secular.BracketError,
+                               match="root 1 in y is not finite: -inf"):
                 secular.rank1_update(basis, np.ones(2), t)
+
+    @pytest.mark.parametrize("diagonal, t", [
+        ((1e308, 1e308), 2.5e307),
+        ((1e308, -1e308), 1e300),
+        ((1e308, -1e308), -1e300),
+    ])
+    def test_walk_below_lowest_pole_stops_at_float_max(self, diagonal, t):
+        # The walk's steps of cap pass the float maximum, where the root and
+        # every eigenvalue are finite.
+        basis = core.eigh(core.SymmetricMatrix.from_array(np.diag(diagonal)))
+        r = secular.rank1_update(basis, np.ones(2), t)
+        M = np.diag(diagonal) / 1e308 + t / 1e308 * np.ones((2, 2))
+        expected = 1e308 * np.linalg.eigvalsh(M)[::-1]
+        assert np.max(np.abs(r.values - expected)) <= 1e-13 * np.max(np.abs(expected))
+        for val, v in zip(r.values, r.vectors):
+            if v is not None:
+                assert np.linalg.norm(M @ v - val / 1e308 * v) <= 1e-12
+
+    @pytest.mark.parametrize("t", [-5e-311, 5e-311])
+    def test_subnormal_pole_differences(self, t):
+        # The root of 1e-310 * I3 + t * J lies a subnormal distance from the
+        # pole; q / (pole - mu) would pass the float range.
+        basis = core.eigh(core.SymmetricMatrix.from_array(1e-310 * np.eye(3)))
+        r = secular.rank1_update(basis, np.ones(3), t)
+        np.testing.assert_allclose(np.sort(r.values),
+                                   np.sort([1e-310, 1e-310, 1e-310 + 3 * t]), rtol=1e-12)
+        [root] = [v for v in r.vectors if v is not None]
+        np.testing.assert_allclose(root, np.ones(3) / math.sqrt(3), rtol=1e-12)
 
     def test_non_finite_vector_raises_bracket_error(self):
         basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([1.0, -1.0])))
@@ -335,13 +400,12 @@ class TestLowestUpdatePair:
     @pytest.mark.parametrize("scale", [4.0 ** -20, 1.0, 4.0 ** 20])
     def test_matches_rank1_update(self, scale, monkeypatch):
         solved = []
-        original = secular._bracket_roots
+        original = secular._open_brackets
 
-        def counting_bracket_roots(sys, t, *args):
+        def counting_open_brackets(sys, t, *args):
             solved.extend(t / scale)
             return original(sys, t, *args)
 
-        monkeypatch.setattr(secular, "_bracket_roots", counting_bracket_roots)
         rng = np.random.default_rng(70)
         kinds = {"root": 0, "retained": 0}
         shifts = (-0.75, -1 / 16, 0.0, 0.5)
@@ -352,7 +416,9 @@ class TestLowestUpdatePair:
                  else zero_one_graph(rng, n, kind))
             basis = core.eigh(core.SymmetricMatrix.from_array(scale * (m + m.T) / 2))
             x = np.ones(n) if k % 8 < 4 else rng.uniform(-1, 1, n)
-            pairs = secular.lowest_update_pairs(basis, x, [t * scale for t in shifts])
+            with monkeypatch.context() as patch:
+                patch.setattr(secular, "_open_brackets", counting_open_brackets)
+                pairs = secular.lowest_update_pairs(basis, x, [t * scale for t in shifts])
             for t, (value, vector) in zip(shifts, pairs, strict=True):
                 full = secular.rank1_update(basis, x, t * scale)
                 assert same_float(value, full.values[-1])
@@ -371,35 +437,44 @@ class TestLowestUpdatePair:
         assert sorted(solved) == [-0.75] * 40 + [-1 / 16] * 40 + [0.5] * 21
 
     def test_brackets_match_the_scalar_solver(self):
-        # Each lockstep bracket takes _bracket_root's steps: the same root or
-        # the same BracketError (1e6 scale, t = +-1e-6, where a bracket does
-        # not open), and a batch raises the error of its first failing shift.
-        def outcome(solve):
-            try:
-                return np.float64(solve()).tobytes()
-            except secular.BracketError as exc:
-                return str(exc)
-
+        # Every bracket takes the reference search's steps: the same root or
+        # the same BracketError, in secular_roots (the first failing root
+        # raises) and in lowest_update_pairs for the lowest bracket alone,
+        # where a batch raises the error of its first failing shift.
         rng = np.random.default_rng(71)
-        shifts = (0.5, 1e-6, -1e-6)
         failed = 0
-        for _ in range(40):
-            A, x = random_instance(rng, 8)
-            basis = core.eigh(core.SymmetricMatrix.from_array(1e6 * A.entries))
-            errors = []
-            for t in shifts:
-                sys = secular.build_secular(basis, x, t)
-                s, poles, f = secular._reflect(sys)
-                j = len(poles) - 1 if s > 0.0 else 0
-                want = outcome(lambda: s * secular._bracket_root(f, poles, j, sys.cap))
-                assert outcome(lambda: secular.lowest_update_pairs(basis, x, [t])[0][0]) == want
-                errors += [want] if isinstance(want, str) else []
-            failed += bool(errors)
+        for k in range(504):
+            basis, x, t = secular_family(rng, k)
+            sys = secular.build_secular(basis, x, t)
+            s, poles, f = oracles.reflect(sys)
+            found = [outcome(lambda: s * oracles.bracket_root(f, poles, j, sys.cap))
+                     for j in range(len(poles))]
+            errors = [r for r in found if isinstance(r, str)]
             if errors:
+                failed += 1
                 with pytest.raises(secular.BracketError) as exc:
-                    secular.lowest_update_pairs(basis, x, shifts)
+                    secular.secular_roots(sys)
                 assert str(exc.value) == errors[0]
-        assert failed > 0
+            else:
+                assert secular.secular_roots(sys).tobytes() == b"".join(sorted(
+                    found, key=lambda r: -np.frombuffer(r)[0]))
+
+            def lowest(ts):
+                return outcome(lambda: secular.lowest_update_pairs(basis, x, ts)[0][0])
+
+            want = found[-1] if s > 0.0 else found[0]
+            retained = basis.spectrum.values[secular._retained(basis.spectrum, sys)]
+            low = float(np.min(retained, initial=math.inf))
+            unsolved = t > 0.0 and low <= np.min(sys.active_poles)
+            if unsolved or (not isinstance(want, str) and low < np.frombuffer(want)[0]):
+                want = np.float64(low).tobytes()
+            assert lowest([t]) == want
+            if k % 6 == 3:
+                shifts = (0.5, 1e-6, -1e-6)
+                alone = [lowest([u]) for u in shifts]
+                first = next((r for r in alone if isinstance(r, str)), None)
+                assert lowest(shifts) == (first or alone[0])
+        assert failed >= 5
 
     def test_t_zero_is_retained(self):
         basis = swap_basis()
@@ -421,14 +496,17 @@ class TestLowestUpdatePair:
         assert vector.tobytes() == full.vectors[-1].tobytes()
 
     def test_other_brackets_are_not_solved(self):
-        # rank1_update fails on the bracket that opens past -inf; the lowest
-        # root for t > 0 lies in the other one, between the poles.
+        # rank1_update fails on the root 1e308 * (1 + sqrt 2), past the float
+        # range; the lowest root for t > 0 lies in the other bracket, between
+        # the poles, at 1e308 * (1 - sqrt 2).
         basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([1e308, -1e308])))
-        with pytest.raises(secular.BracketError):
-            secular.rank1_update(basis, np.ones(2), 1e300)
-        [(value, vector)] = secular.lowest_update_pairs(basis, np.ones(2), [1e300])
-        assert value == pytest.approx(-1e308 + 1e300, rel=1e-13)
-        np.testing.assert_allclose(vector, [0.0, 1.0], atol=1e-8)
+        with pytest.raises(secular.BracketError, match="not finite"):
+            secular.rank1_update(basis, np.ones(2), 1e308)
+        [(value, vector)] = secular.lowest_update_pairs(basis, np.ones(2), [1e308])
+        assert value == pytest.approx(1e308 * (1 - math.sqrt(2)), rel=1e-13)
+        # The eigenvector of [[2, 1], [1, 0]] for 1 - sqrt 2.
+        angle = 3 * math.pi / 8
+        np.testing.assert_allclose(vector, [-math.cos(angle), math.sin(angle)], atol=1e-12)
 
 
 class TestDetIdentity:
