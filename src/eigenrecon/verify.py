@@ -5,9 +5,10 @@ their deck of vertex-deleted spectra, this module compares everything that
 theory says must then agree: squared eigenvector entries of simple
 eigenvalues, projections of the all-ones vector onto matching eigenspaces,
 simple eigenvectors not orthogonal to the all-ones vector (up to sign), and
-the lowest eigenpair of A + t*J across a sample of shifts t. A probe finds
-the coordinate permutation that best maps one simple eigenvector onto the
-other by sorted pairing, at any size.
+the lowest eigenpair of A + t*J over shifts t: ``verify_gm`` decides it in
+closed form, ``verify_theorem_main`` samples it two ways. A probe finds the
+coordinate permutation that best maps one simple eigenvector onto the other
+by sorted pairing, at any size.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .core import (EigenBasis, Spectrum, SymmetricMatrix, _solve_stack,
                    cluster_mean, eigh_stack, scale_exponent, symmetrized)
-from .secular import lowest_update_pairs
+from .secular import DEFLATE_TOL, lowest_update_pairs
 from .squares import SquareComparison, compare_squares, square_table_from_deck
 
 SIGN_TOL_SCALE = 1e-10
@@ -113,55 +114,6 @@ class TheoremMainSample:
         return {**asdict(self), "conclusive": self.conclusive}
 
 
-def _shifts(A: SymmetricMatrix, B: SymmetricMatrix, t_samples):
-    """The theorem-main shifts: ``t_samples``, checked, or the pair's defaults."""
-    if t_samples is None:
-        return np.ldexp(DEFAULT_T_SAMPLES, _unit_exponent(A, B))
-    if not len(t_samples):
-        raise ValueError("t_samples must be nonempty")
-    if not np.all(np.isfinite(t_samples)):
-        raise ValueError("t_samples must be finite")
-    return t_samples
-
-
-# An entry past the float range is inf, which is reported with its shift.
-@np.errstate(over="ignore")
-def _shifted(A: SymmetricMatrix, B: SymmetricMatrix, shifts) -> list[SymmetricMatrix]:
-    """A + t*J and B + t*J for each shift t, in that order, built as one stack."""
-    ts = np.asarray(shifts, dtype=float)
-    m = np.stack([A.entries, B.entries]) + ts[:, None, None, None]
-    bad = np.argwhere(~np.all(np.isfinite(m), axis=(2, 3)))
-    if len(bad):
-        k, j = bad[0]
-        raise ValueError(f"{'AB'[j]} + t*J is not finite at t = {float(ts[k])!r}")
-    return [SymmetricMatrix(s) for s in symmetrized(m.reshape(-1, A.n, A.n))]
-
-
-def _theorem_main(basis_a: EigenBasis, shifts,
-                  solved: list[EigenBasis]) -> list[TheoremMainSample]:
-    """The samples, from the basis of A and the solved ``_shifted`` matrices."""
-    n = basis_a.n
-    pairs = lowest_update_pairs(basis_a, np.ones(n), [float(t) for t in shifts])
-    records = []
-    for t, shifted_a, shifted_b, (sec_low, sec_vec) in zip(
-            shifts, solved[0::2], solved[1::2], pairs):
-        low_a = float(shifted_a.spectrum.values[-1])
-        low_b = float(shifted_b.spectrum.values[-1])
-        va = shifted_a.vectors[:, -1]
-        vb = shifted_b.vectors[:, -1]
-        sec_angle = principal_angle(va, sec_vec) if sec_vec is not None else math.nan
-        records.append(TheoremMainSample(
-            t=float(t),
-            lambda_n_dev=abs(low_a - low_b),
-            simple_in_a=shifted_a.spectrum.is_simple(n - 1),
-            simple_in_b=shifted_b.spectrum.is_simple(n - 1),
-            angle=principal_angle(va, vb),
-            secular_value_dev=abs(low_a - sec_low),
-            secular_angle=sec_angle,
-        ))
-    return records
-
-
 def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix,
                         t_samples=None) -> list[TheoremMainSample]:
     """Lowest eigenpair of A + t*J and B + t*J across sampled shifts.
@@ -169,9 +121,8 @@ def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix,
     Each sample also cross-checks the direct eigendecomposition of A + t*J
     against the secular equation on the basis of A. ``lowest_update_pairs``
     gives the ``values[-1]`` and ``vectors[-1]`` of
-    ``rank1_update(basis of A, 1, t)`` bit for bit, but solves only the
-    bracket of each lowest root, all shifts in lockstep, and builds only
-    those roots' vectors, so only those brackets can raise BracketError.
+    ``rank1_update(basis of A, 1, t)`` bit for bit, solving only the bracket
+    of each lowest root, so only those brackets can raise BracketError.
     With t = 0, or a retained eigenvalue of A below the root, there is no
     secular vector and ``secular_angle`` is NaN. A and every A + t*J and
     B + t*J are solved in one stack. Given shifts are absolute; by default
@@ -179,9 +130,54 @@ def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix,
     """
     if A.n != B.n:
         raise ValueError("dimension mismatch")
-    shifts = _shifts(A, B, t_samples)
-    basis_a, *solved = eigh_stack([A, *_shifted(A, B, shifts)])
-    return _theorem_main(basis_a, shifts, solved)
+    if t_samples is None:
+        t_samples = np.ldexp(DEFAULT_T_SAMPLES, _unit_exponent(A, B))
+    elif not len(t_samples):
+        raise ValueError("t_samples must be nonempty")
+    elif not np.all(np.isfinite(t_samples)):
+        raise ValueError("t_samples must be finite")
+    ts = np.asarray(t_samples, dtype=float)
+    with np.errstate(over="ignore"):  # an entry past the float range is inf
+        m = np.stack([A.entries, B.entries]) + ts[:, None, None, None]
+    bad = np.argwhere(~np.all(np.isfinite(m), axis=(2, 3)))
+    if len(bad):
+        k, j = bad[0]
+        raise ValueError(f"{'AB'[j]} + t*J is not finite at t = {float(ts[k])!r}")
+    basis_a, *solved = eigh_stack(
+        [A, *map(SymmetricMatrix, symmetrized(m.reshape(-1, A.n, A.n)))])
+    pairs = lowest_update_pairs(basis_a, np.ones(A.n), ts.tolist())
+    records = []
+    for t, shifted_a, shifted_b, (sec_low, sec_vec) in zip(
+            ts.tolist(), solved[0::2], solved[1::2], pairs):
+        low_a = float(shifted_a.spectrum.values[-1])
+        low_b = float(shifted_b.spectrum.values[-1])
+        va = shifted_a.vectors[:, -1]
+        vb = shifted_b.vectors[:, -1]
+        sec_angle = principal_angle(va, sec_vec) if sec_vec is not None else math.nan
+        records.append(TheoremMainSample(
+            t=t, lambda_n_dev=abs(low_a - low_b),
+            simple_in_a=shifted_a.spectrum.is_simple(A.n - 1),
+            simple_in_b=shifted_b.spectrum.is_simple(A.n - 1),
+            angle=principal_angle(va, vb), secular_value_dev=abs(low_a - sec_low),
+            secular_angle=sec_angle))
+    return records
+
+
+def _crossover(basis: EigenBasis, e: int) -> float | None:
+    """t*/2^e = -1 / sum_k w_k / (lambda_k - lambda_n) over the main clusters
+    k (w_k = ||P_k 1||^2 above the secular deflation floor), each at its top
+    value and in the unit 2^e, so that nothing overflows. If A's lowest
+    cluster is not main, its value is the lowest of A + t*J for t in (t*, 0).
+    None if it is main or no default shift lies in (t*, 0).
+    """
+    starts = [c[0] for c in basis.spectrum.clusters]
+    w = np.add.reduceat((basis.vectors.T @ np.ones(basis.n)) ** 2, starts)
+    main = w > DEFLATE_TOL * basis.n
+    if main[-1]:
+        return None
+    lam = np.ldexp(basis.spectrum.values, -e)
+    t_star = -1.0 / float(np.sum(w[main] / (lam[starts][main] - lam[-1])))
+    return t_star if t_star < max(DEFAULT_T_SAMPLES) else None
 
 
 @dataclass(frozen=True)
@@ -196,7 +192,7 @@ class PairReport:
     squares: SquareComparison
     projections: tuple[dict, ...]
     signs: tuple[dict, ...]
-    theorem_main: tuple[TheoremMainSample, ...]
+    theorem_main: dict
 
     @property
     def spectra_equal(self) -> bool:
@@ -213,7 +209,7 @@ class PairReport:
         checks = [self.spectra_equal, self.deck_equal, self.squares.passed]
         checks += [p["pass"] for p in self.projections]
         checks += [s["pass"] for s in self.signs]
-        checks += [r.passes(self.tol) for r in self.theorem_main]
+        checks.append(self.theorem_main["pass"])
         return all(checks)
 
     def to_dict(self) -> dict:
@@ -232,7 +228,7 @@ class PairReport:
             "squares": self.squares.to_dict(),
             "projections": list(self.projections),
             "signs": list(self.signs),
-            "theorem_main": [r.to_dict() for r in self.theorem_main],
+            "theorem_main": dict(self.theorem_main),
         }
 
 
@@ -241,25 +237,21 @@ def _max_dev(a: Spectrum, b: Spectrum) -> float:
 
 
 def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, *,
-              multiset_deck: bool = False, t_samples=None) -> PairReport:
+              multiset_deck: bool = False) -> PairReport:
     """Compare two matrices under the equal-spectra, equal-deck hypothesis.
 
     Deck cards are compared index-aligned (card m of A against card m of B);
     pass ``multiset_deck=True`` to instead match cards as an unordered
-    collection, the convention of classical graph reconstruction. Spectra,
-    cards and theorem-main eigenvalues must agree within ``value_tol``;
-    ``t_samples`` is as for ``verify_theorem_main``, whose samples the
-    report holds bit for bit. One ``_jacobi`` call solves A, B, their cards
-    and every A + t*J and B + t*J, and the deck of A supplies the basis
-    that the theorem-main secular path starts from.
+    collection, the convention of classical graph reconstruction. Spectra
+    and cards must agree within ``value_tol``. One ``_jacobi`` call solves
+    A, B and their cards. Theorem-main is decided in closed form over the
+    default shifts of ``verify_theorem_main``, and no A + t*J is formed.
     """
     if A.n != B.n:
         raise ValueError("dimension mismatch")
     tol = value_tol(A, B)
-    shifts = _shifts(A, B, t_samples)
-    (deck_a, deck_b), solved = _solve_stack([A, B], _shifted(A, B, shifts))
-    basis_a = deck_a.parent
-    basis_b = deck_b.parent
+    (deck_a, deck_b), _ = _solve_stack([A, B], ())
+    basis_a, basis_b = deck_a.parent, deck_b.parent
     spectra_dev = _max_dev(basis_a.spectrum, basis_b.spectrum)
     deck_devs = tuple(_max_dev(ca, cb)
                       for ca, cb in zip(deck_a.card_spectra, deck_b.card_spectra))
@@ -293,12 +285,8 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, *,
                 "pass": dist <= PROJECTION_TOL,
             })
     else:
-        projections.append({
-            "value": None,
-            "distance": math.inf,
-            "pass": False,
-            "note": "cluster structures differ",
-        })
+        projections.append({"value": None, "distance": math.inf, "pass": False,
+                            "note": "cluster structures differ"})
 
     signs = []
     for i in range(A.n):
@@ -311,7 +299,19 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, *,
         dist = float(np.linalg.norm(ca.vector - cb.vector))
         signs.append({"index": i, "distance": dist, "pass": dist <= VECTOR_TOL})
 
-    theorem_main = tuple(_theorem_main(basis_a, shifts, solved))
+    # Theorem-main in closed form: A + t*J keeps A's retained eigenvalues and
+    # adds the roots of 1 + t * sum_k w_k / (lambda_k - mu), with eigenvectors
+    # along sum_k P_k 1 / (lambda_k - mu). Equal spectra and projections,
+    # checked above, thus give equal root eigenpairs at every t, and only a
+    # retained lowest eigenvalue, for t in (t*, 0), is left to compare.
+    e = _unit_exponent(A, B)
+    t_star = _crossover(basis_a, e), _crossover(basis_b, e)
+    r = None if t_star == (None, None) else A.n - 1
+    conclusive = r is not None and basis_a.spectrum.is_simple(r) and basis_b.spectrum.is_simple(r)
+    angle = None if r is None else principal_angle(basis_a.vectors[:, r], basis_b.vectors[:, r])
+    theorem_main = {"t_star_a": t_star[0], "t_star_b": t_star[1], "r": r,
+                    "conclusive": conclusive, "angle": angle,
+                    "pass": not conclusive or angle <= VECTOR_TOL}
     return PairReport(A.n, tol, spectra_dev, deck_devs, multiset_devs,
                       squares, tuple(projections), tuple(signs), theorem_main)
 

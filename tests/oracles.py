@@ -1,7 +1,7 @@
 """Reference formulas for the tests: characteristic-polynomial oracles
-evaluated from a spectrum, the square table filled cell by cell, the
-vertex-deleted submatrix, the stack-first Jacobi kernel and the scalar
-secular bracket search."""
+evaluated from a spectrum or exact over the integers, the square table
+filled cell by cell, the vertex-deleted submatrix, the stack-first Jacobi
+kernel and the scalar secular bracket search."""
 
 import numpy as np
 
@@ -17,6 +17,31 @@ def char_poly_derivative_eval(spec, lam: float) -> float:
     """d/dlam of det(lam*I - M), as the sum of leave-one-out products."""
     return sum(float(np.prod(np.delete(lam - spec.values, k)))
                for k in range(len(spec.values)))
+
+
+def charpoly(a) -> list[int]:
+    """Coefficients of det(x*I - A), highest degree first, of an integer
+    matrix A, exactly: Berkowitz's division-free algorithm over Python ints
+    (Inform. Process. Lett. 18, 1984).
+
+    Step k borders the leading k x k block M with column c, row r and corner
+    d. Its polynomial is the previous one times the lower-triangular Toeplitz
+    matrix whose first column is 1, -d, -r c, -r M c, ..., -r M^(k-1) c.
+    """
+    m = np.asarray(a, dtype=float)
+    if not np.array_equal(m, np.round(m)):
+        raise ValueError("charpoly needs integer entries")
+    a = [[int(v) for v in row] for row in m]
+    poly = [1]
+    for k in range(len(a)):
+        col = [1, -a[k][k]]
+        v = [a[i][k] for i in range(k)]  # M^j c, j = 0, 1, ...
+        for _ in range(k):
+            col.append(-sum(x * y for x, y in zip(a[k][:k], v)))
+            v = [sum(a[i][j] * v[j] for j in range(k)) for i in range(k)]
+        poly = [sum(col[j - i] * poly[i] for i in range(max(0, j - k - 1), min(j, k) + 1))
+                for j in range(k + 2)]
+    return poly
 
 
 def square_ratio_product(spec, card, i: int) -> float:

@@ -54,8 +54,8 @@ PINNED_MACHINE = "x86_64"
 SEED7_DIGESTS = {
     "reconstruct": "eabb98b99e6e81d0131e5db69cecc6e91a0d3a62e745806c156a6873c7d33ad2",
     "rank1_stream": "2b280ff542487713e45cd5359efaaeeeb2be52cad34923cfdf943a5363a05027",
-    "pair_verify": "78ebfb1b5cf5a93189fd84c971281af213226f6231c84a36a33bc8190edca482",
-    "cli_oneshot": "fcdc7b4e4933f34a4709a6fdb25f808df5070763b0671b51fd0426bc7b370a1f",
+    "pair_verify": "3e171adf41dfbf958b8cf26cedbbd8888e7965935fcf50b1fb2a635e77a91214",
+    "cli_oneshot": "a9d27560da003c75ad3f88e19397705b47158b2bd56ff2610f465cf7a0182831",
 }
 
 

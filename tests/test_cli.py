@@ -429,6 +429,38 @@ def test_subnormal_pair_verifies_against_itself(matrix_file, capsys, subcommand)
     assert json.loads(out)["pass"] is True
 
 
+EXTREME_SCALES = [
+    pytest.param("2\n1e308 0\n0 1e308\n", id="1e308-I2"),
+    pytest.param("3\n1.7e308 0 0\n0 1.7e308 0\n0 0 1.7e308\n", id="1.7e308-I3"),
+    pytest.param("3\n1e-310 0 0\n0 1e-310 0\n0 0 1e-310\n", id="1e-310-I3"),
+]
+
+
+@pytest.mark.parametrize("text", EXTREME_SCALES)
+def test_gm_verify_extreme_scales_against_itself(matrix_file, capsys, text):
+    # gm-verify forms no A + t*J, so the default shifts 2^e * (-1, -1/16]
+    # no longer push an eigenvalue past the float range (exit 3).
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    a = matrix_file("a.txt", text)
+    code, out = run(capsys, "gm-verify", a, a)
+    assert code == 0
+    assert json.loads(out, parse_constant=reject)["pass"] is True
+
+
+@pytest.mark.parametrize("text", EXTREME_SCALES[:2])
+def test_tmain_default_shifts_past_float_max_exit_3(matrix_file, capsys, text):
+    # The sampled check solves A + t*J, whose lowest eigenvalue at the
+    # default shifts lies past the float range here.
+    a = matrix_file("a.txt", text)
+    code = cli.main(["tmain", a, a])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: an eigenvalue lies beyond the float range\n"
+
+
 @pytest.mark.parametrize("subcommand", ["eig", "deck", "squares"])
 def test_eigenvalue_past_float_max_exits_3(matrix_file, capsys, subcommand):
     # The eigenvalue 2e308 used to print as Infinity with exit 0.

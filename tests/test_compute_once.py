@@ -43,20 +43,6 @@ def test_square_table_decomposes_matrix_once(solved):
     assert solved(A.entries) == 1
 
 
-def test_verify_gm_decomposes_each_matrix_once(solved):
-    # A and B once each, with their decks, and A + tJ and B + tJ for every
-    # shift t, all in one _jacobi call.
-    A, B = random_symmetric(6, 5), random_symmetric(7, 5)
-    t_samples = (-0.75, -0.5, -0.25)
-    verify.verify_gm(A, B, t_samples=t_samples)
-    J = np.ones((5, 5))
-    shifted = [M.entries + t * J for t in t_samples for M in (A, B)]
-    count = sum(solved(m) for m in [A.entries, B.entries, *shifted])
-    assert count == 2 + 2 * len(t_samples)
-    assert len(solved.calls) == 1
-    assert len(solved.calls[0]) == 2 * (5 + 1) + 2 * len(t_samples)
-
-
 @pytest.mark.parametrize("check", ["det-check", "probe-tau"])
 def test_two_matrix_checks_solve_one_stack(monkeypatch, check):
     # det-check solves A and A + t*x*x^T, probe-tau A and B, together.
@@ -98,6 +84,18 @@ def test_rank1_update_opens_every_bracket_in_one_call(opened):
     A = random_symmetric(12, 6)
     secular.rank1_update(core.eigh(A), np.arange(1.0, 7.0), -0.4)
     assert opened == [((-0.4,) * 6, tuple(range(6)))]
+
+
+def test_verify_gm_decomposes_each_matrix_once(solved, opened):
+    # A and B once each, with their decks, in one _jacobi call; theorem-main
+    # is decided in closed form, so no A + tJ is solved and no secular
+    # bracket is opened.
+    A, B = random_symmetric(6, 5), random_symmetric(7, 5)
+    verify.verify_gm(A, B)
+    assert solved(A.entries) == solved(B.entries) == 1
+    assert len(solved.calls) == 1
+    assert len(solved.calls[0]) == 2 * (5 + 1)
+    assert opened == []
 
 
 def test_theorem_main_solves_one_bracket_per_nonzero_shift(monkeypatch, opened):
