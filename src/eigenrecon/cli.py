@@ -2,8 +2,9 @@
 
 One subcommand per library operation; matrix and vector inputs use the
 plain-text format (comment lines starting with '#', dimension, then entries
-row-major). Each report is one line of JSON on stdout, the only output
-format; diagnostics go to stderr. Exit codes: 0 pass, 1 check failure,
+row-major). Each report is one line of standard JSON on stdout, the only
+output format: a quantity that does not exist is null, never NaN or
+Infinity. Diagnostics go to stderr. Exit codes: 0 pass, 1 check failure,
 2 input error, 3 solver failure (a Jacobi sweep or secular root bracket that
 did not converge). Codes 2 and 3 print one ``error:`` line on stderr and
 nothing on stdout. The checks take no tolerance or sampling flags: every

@@ -10,6 +10,7 @@ the n vertex-deleted principal submatrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -230,7 +231,12 @@ def _jacobi(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     work = np.empty((2 * n, n, b))
     work[:n] = np.ldexp(stack.transpose(1, 2, 0), -e)
     work[n:] = np.eye(n)[:, :, None]
-    rounds = [(partner, lo, hi, sign[:, None], floor[:, None])
+    # A round reads its pivots and diagonals in one gather from the flat
+    # (2n * n, b) view: g[:n] holds a_lo,hi of each row k, g[n:2n] a_lo,lo
+    # and g[2n:] a_hi,hi.
+    flat = work.reshape(2 * n * n, b)
+    rounds = [(partner, np.concatenate([lo * n + hi, lo * (n + 1), hi * (n + 1)]),
+               sign[:, None], floor[:, None])
               for partner, lo, hi, sign, floor in _rounds(n)]
     k = np.arange(n)
     rotated = n > 1
@@ -244,20 +250,20 @@ def _jacobi(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     f"Jacobi failed to converge in {JACOBI_MAX_SWEEPS} sweeps"
                 )
             rotated = False
-            for partner, lo, hi, sign, floor in rounds:
-                apq = work[lo, hi]
-                d = work[k, k]
-                root = np.sqrt(np.abs(d))
-                act = np.abs(apq) > np.maximum(1e-15 * root[lo] * root[hi], floor)
+            for partner, at, sign, floor in rounds:
+                g = flat[at]
+                root = np.sqrt(np.abs(g[n:]))
+                act = np.abs(g[:n]) > np.maximum(1e-15 * root[:n] * root[n:], floor)
                 rows = act.any(axis=0)
-                if not rows.any():
+                live = np.count_nonzero(rows)
+                if not live:
                     continue
                 rotated = True
                 w = work
-                if not rows.all():
-                    r = np.flatnonzero(rows)
-                    w, act, apq, d = work[..., r], act[:, r], apq[:, r], d[:, r]
-                theta = (d[hi] - d[lo]) / (2.0 * apq)
+                if live < b:
+                    r = rows.nonzero()[0]
+                    w, act, g = work[..., r], act[:, r], g[:, r]
+                theta = (g[2 * n:] - g[n:2 * n]) / (2.0 * g[:n])
                 t = np.sign(theta) / (np.abs(theta) + np.hypot(theta, 1.0))
                 t[theta == 0.0] = 1.0
                 c = 1.0 / np.hypot(t, 1.0)
@@ -270,7 +276,7 @@ def _jacobi(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 rows_in *= s[:, None]
                 a *= c[:, None]
                 a += rows_in
-                cols_in = w[:, partner]
+                cols_in = w.take(partner, axis=1)
                 cols_in *= s
                 w *= c
                 w += cols_in
@@ -307,15 +313,23 @@ def eigh_stack(matrices) -> list[EigenBasis]:
 class SpectralDeck:
     """Spectra of the n vertex-deleted principal submatrices A_1..A_n.
 
-    ``parent`` is the decomposition of A itself that the cards were checked
-    against, kept so callers need not decompose A again.
+    ``cards`` is the read-only (n, n - 1) array whose row m holds the
+    eigenvalues of A_m, descending. ``card_spectra`` clusters each row into
+    a ``Spectrum`` when it is first read; the square table and ``verify_gm``
+    work on ``cards`` alone. ``parent`` is the decomposition of A itself
+    that the cards were checked against, kept so callers need not decompose
+    A again.
     """
 
-    card_spectra: tuple[Spectrum, ...]
+    cards: np.ndarray
     parent: EigenBasis
 
     def __len__(self) -> int:
-        return len(self.card_spectra)
+        return len(self.cards)
+
+    @cached_property
+    def card_spectra(self) -> tuple[Spectrum, ...]:
+        return tuple(map(cluster_spectrum, self.cards))
 
 
 def check_interlacing(parent: Spectrum, cards) -> np.ndarray:
@@ -363,12 +377,14 @@ def _solve_stack(decked, plain) -> tuple[list[SpectralDeck], list[EigenBasis]]:
         np.take_along_axis(p[~card], order[~card][:, None], axis=2))
     vectors.setflags(write=False)
     bases = [EigenBasis(cluster_spectrum(v), u) for v, u in zip(values[~card], vectors)]
+    card_values = values[card, :-1].reshape(len(decked), n, n - 1)
+    card_values.setflags(write=False)
     decks = []
-    for parent, cards in zip(bases, values[card, :-1].reshape(len(decked), n, n - 1)):
+    for parent, cards in zip(bases, card_values):
         fits = check_interlacing(parent.spectrum, cards)
         if not fits.all():
             raise ConvergenceError(f"deck card {np.argmin(fits)} violates Cauchy interlacing")
-        decks.append(SpectralDeck(tuple(map(cluster_spectrum, cards)), parent))
+        decks.append(SpectralDeck(cards, parent))
     return decks, bases[len(decked):]
 
 

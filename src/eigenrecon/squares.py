@@ -41,15 +41,23 @@ def reconstruct_square(spec: Spectrum, cards: np.ndarray, i: int) -> np.ndarray:
         raise ValueError(f"cards have shape {cards.shape}; need {n} of length {n - 1}")
     if not spec.is_simple(i):
         raise NotSimpleError(f"eigenvalue index {i} is not simple")
-    lam_i = spec.values[i]
-    num = np.sort(cards - lam_i, axis=1)
-    den = np.sort(np.delete(spec.values, i) - lam_i)
+    return _square_columns(spec.values, cards, np.array([i]))[0]
+
+
+def _square_columns(values: np.ndarray, cards: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The (len(cols), n) array whose row j is column cols[j] of the table,
+    all in one pass over a (len(cols), n, n - 1) array of factors."""
+    lam = values[cols]
+    q = np.arange(len(values) - 1)
+    others = values[q + (q >= cols[:, None])]  # row j: the values other than lam[j]
+    num = np.sort(cards - lam[:, None, None], axis=2)
+    den = np.sort(others - lam[:, None], axis=1)
     # Sorted pairing keeps each ratio O(1): interlacing matches factor signs
     # and magnitudes, so partial products stay far from overflow/underflow.
-    col = np.prod(num / den, axis=1)
-    col[(-CLAMP_TOL <= col) & (col < 0.0)] = 0.0
-    col[(1.0 < col) & (col <= 1.0 + CLAMP_TOL)] = 1.0
-    return col
+    sq = np.prod(num / den[:, None, :], axis=2)
+    sq[(-CLAMP_TOL <= sq) & (sq < 0.0)] = 0.0
+    sq[(1.0 < sq) & (sq <= 1.0 + CLAMP_TOL)] = 1.0
+    return sq
 
 
 @dataclass(frozen=True)
@@ -78,7 +86,8 @@ class SquareTable:
 
 
 def square_table_from_deck(cards: SpectralDeck) -> SquareTable:
-    """reconstruct_square for each simple eigenvalue i of the deck's parent.
+    """reconstruct_square for each simple eigenvalue i of the deck's parent,
+    every column in one pass over the deck's card array.
 
     A negative cell, and a column whose sum is off 1 by more than 1e-8 (a
     column holds a unit vector's squares), are recorded as
@@ -87,16 +96,16 @@ def square_table_from_deck(cards: SpectralDeck) -> SquareTable:
     """
     spec = cards.parent.spectrum
     n = len(spec)
-    spectra = np.array([c.values for c in cards.card_spectra])
     table = np.full((n, n), np.nan)
     simple = tuple(i for i in range(n) if spec.is_simple(i))
     warnings = []
-    for i in simple:
-        table[:, i] = col = reconstruct_square(spec, spectra, i)
-        warnings += [Diagnostic("negative_square", i, float(v)) for v in col[col < 0.0]]
-        colsum = float(np.nansum(col))
-        if abs(colsum - 1.0) > ROW_SUM_TOL:
-            warnings.append(Diagnostic("column_sum", i, colsum))
+    if simple:
+        sq = _square_columns(spec.values, cards.cards, np.array(simple))
+        table[:, simple] = sq.T
+        for i, col, colsum in zip(simple, sq.tolist(), np.nansum(sq, axis=1).tolist()):
+            warnings += [Diagnostic("negative_square", i, v) for v in col if v < 0.0]
+            if abs(colsum - 1.0) > ROW_SUM_TOL:
+                warnings.append(Diagnostic("column_sum", i, colsum))
     table.setflags(write=False)
     return SquareTable(n, table, simple, tuple(warnings))
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (EigenBasis, Spectrum, SymmetricMatrix, _solve_stack,
+from .core import (EigenBasis, SymmetricMatrix, _solve_stack,
                    cluster_mean, eigh_stack, scale_exponent, symmetrized)
 from .secular import DEFLATE_TOL, lowest_update_pairs
 from .squares import SquareComparison, compare_squares, square_table_from_deck
@@ -111,7 +111,10 @@ class TheoremMainSample:
             self.lambda_n_dev <= tol and self.angle <= VECTOR_TOL)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "conclusive": self.conclusive}
+        """asdict plus ``conclusive``, with a NaN ``secular_angle`` as None
+        (JSON null)."""
+        angle = None if math.isnan(self.secular_angle) else self.secular_angle
+        return {**asdict(self), "secular_angle": angle, "conclusive": self.conclusive}
 
 
 def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix,
@@ -232,10 +235,6 @@ class PairReport:
         }
 
 
-def _max_dev(a: Spectrum, b: Spectrum) -> float:
-    return float(np.max(np.abs(a.values - b.values)))
-
-
 def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, *,
               multiset_deck: bool = False) -> PairReport:
     """Compare two matrices under the equal-spectra, equal-deck hypothesis.
@@ -252,22 +251,21 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, *,
     tol = value_tol(A, B)
     (deck_a, deck_b), _ = _solve_stack([A, B], ())
     basis_a, basis_b = deck_a.parent, deck_b.parent
-    spectra_dev = _max_dev(basis_a.spectrum, basis_b.spectrum)
-    deck_devs = tuple(_max_dev(ca, cb)
-                      for ca, cb in zip(deck_a.card_spectra, deck_b.card_spectra))
+    spectra_dev = float(np.max(np.abs(basis_a.spectrum.values - basis_b.spectrum.values)))
+    deck_devs = tuple(np.max(np.abs(deck_a.cards - deck_b.cards), axis=1).tolist())
     multiset_devs = None
     if multiset_deck:
         # Greedy matching in A's card order: each card of A takes the unused
         # card of B closest in max-abs deviation (ties to the lower index).
         # Sorting cards lexicographically instead flips cards whose leading
         # eigenvalues tie up to rounding.
-        unused = list(deck_b.card_spectra)
+        unused = deck_b.cards
         devs = []
-        for ca in deck_a.card_spectra:
-            gaps = [_max_dev(ca, cb) for cb in unused]
+        for ca in deck_a.cards:
+            gaps = np.max(np.abs(ca - unused), axis=1)
             k = int(np.argmin(gaps))
-            devs.append(gaps[k])
-            del unused[k]
+            devs.append(float(gaps[k]))
+            unused = np.delete(unused, k, axis=0)
         multiset_devs = tuple(devs)
 
     squares = compare_squares(square_table_from_deck(deck_a),
@@ -285,7 +283,7 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, *,
                 "pass": dist <= PROJECTION_TOL,
             })
     else:
-        projections.append({"value": None, "distance": math.inf, "pass": False,
+        projections.append({"value": None, "distance": None, "pass": False,
                             "note": "cluster structures differ"})
 
     signs = []
@@ -323,7 +321,7 @@ class PermutationProbe:
     found: bool
     permutation: tuple[int, ...] | None
     sign: int | None
-    distance: float
+    distance: float | None
     min_distance: float
 
     def to_dict(self) -> dict:
@@ -339,8 +337,8 @@ def probe_permutation_conjecture(A: SymmetricMatrix, B: SymmetricMatrix,
     replace a search over all n! permutations. The sign with the smaller
     distance wins (+1 on a tie). With tied entries any optimal tau may be
     returned, not necessarily the lexicographically first. A distance above
-    VECTOR_TOL is a miss, which carries the minimum distance over all
-    permutations and both signs.
+    VECTOR_TOL is a miss: its ``distance`` is None, and ``min_distance``
+    carries the minimum over all permutations and both signs.
     """
     if A.n != B.n:
         raise ValueError("dimension mismatch")
@@ -361,4 +359,4 @@ def probe_permutation_conjecture(A: SymmetricMatrix, B: SymmetricMatrix,
     dist, sign, tau = min(fits, key=lambda fit: fit[0])
     if dist <= VECTOR_TOL:
         return PermutationProbe(True, tuple(int(k) for k in tau), sign, dist, dist)
-    return PermutationProbe(False, None, None, math.inf, dist)
+    return PermutationProbe(False, None, None, None, dist)

@@ -1,11 +1,11 @@
 """Reference formulas for the tests: characteristic-polynomial oracles
 evaluated from a spectrum or exact over the integers, the square table
-filled cell by cell, the vertex-deleted submatrix, the stack-first Jacobi
-kernel and the scalar secular bracket search."""
+filled cell by cell and column by column, the vertex-deleted submatrix, the
+stack-first Jacobi kernel and the scalar secular bracket search."""
 
 import numpy as np
 
-from eigenrecon import core, secular
+from eigenrecon import core, secular, squares
 
 
 def char_poly_eval(spec, lam: float) -> float:
@@ -82,6 +82,36 @@ def square_table_by_cells(deck):
         if abs(colsum - 1.0) > 1e-8:
             warnings.append(("column_sum", i, colsum))
     return table, simple, warnings
+
+
+def reference_column(spec, cards: np.ndarray, i: int) -> np.ndarray:
+    """Column i of the square table over the (n, n - 1) card array, alone."""
+    lam_i = spec.values[i]
+    num = np.sort(cards - lam_i, axis=1)
+    den = np.sort(np.delete(spec.values, i) - lam_i)
+    col = np.prod(num / den, axis=1)
+    col[(-squares.CLAMP_TOL <= col) & (col < 0.0)] = 0.0
+    col[(1.0 < col) & (col <= 1.0 + squares.CLAMP_TOL)] = 1.0
+    return col
+
+
+def reference_square_table(deck) -> squares.SquareTable:
+    """``squares.square_table_from_deck`` one simple column at a time, each
+    column its own sorted-ratio pass, its warnings appended in column order.
+    The tests hold the one-pass table to it byte for byte."""
+    spec = deck.parent.spectrum
+    n = len(spec)
+    spectra = np.array([c.values for c in deck.card_spectra])
+    table = np.full((n, n), np.nan)
+    simple = tuple(i for i in range(n) if spec.is_simple(i))
+    warnings = []
+    for i in simple:
+        table[:, i] = col = reference_column(spec, spectra, i)
+        warnings += [core.Diagnostic("negative_square", i, float(v)) for v in col[col < 0.0]]
+        colsum = float(np.nansum(col))
+        if abs(colsum - 1.0) > squares.ROW_SUM_TOL:
+            warnings.append(core.Diagnostic("column_sum", i, colsum))
+    return squares.SquareTable(n, table, simple, tuple(warnings))
 
 
 def delete(A, i: int):

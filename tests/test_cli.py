@@ -121,6 +121,43 @@ def test_probe_tau(matrix_file, capsys):
     assert payload["permutation"] == [1, 0]
 
 
+def strict_json(out):
+    """One report parsed as standard JSON: NaN and Infinity are rejected."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(out, parse_constant=reject)
+
+
+def test_gm_verify_different_cluster_structures_is_strict_json(matrix_file, capsys):
+    # I2 has one cluster, diag(1, 2) two: no projection distance exists.
+    a = matrix_file("a.txt", "2\n1 0\n0 1\n")
+    b = matrix_file("b.txt", "2\n1 0\n0 2\n")
+    code, out = run(capsys, "gm-verify", a, b)
+    assert code == 1
+    assert strict_json(out)["projections"] == [
+        {"value": None, "distance": None, "pass": False,
+         "note": "cluster structures differ"}]
+
+
+def test_probe_tau_miss_is_strict_json(matrix_file, capsys):
+    a = matrix_file("a.txt", "2\n1 0\n0 2\n")
+    b = matrix_file("b.txt", "2\n2 1\n1 0\n")
+    code, out = run(capsys, "probe-tau", a, b, "--index", "0")
+    payload = strict_json(out)
+    assert code == 1
+    assert payload["found"] is False and payload["distance"] is None
+    assert payload["min_distance"] > 1e-8
+
+
+def test_tmain_without_secular_vector_is_strict_json(matrix_file, capsys):
+    # At t = 0 there is no secular vector, so no secular angle.
+    a = matrix_file("a.txt", P3)
+    code, out = run(capsys, "tmain", a, a, "--t-samples", "1,-1,0")
+    samples = strict_json(out)["samples"]
+    assert code == 0
+    assert [(r["t"], r["secular_angle"]) for r in samples] == [(0.0, None)]
+
+
 def test_unparseable_exits_2(matrix_file, capsys):
     code, _ = run(capsys, "eig", matrix_file("a.txt", "2\n0 1\n1"))
     assert code == 2

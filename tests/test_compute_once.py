@@ -6,12 +6,16 @@ Every solve goes through the kernel ``core._jacobi`` (``eigh``, ``deck``,
 kernel is wrapped. Solved matrices are counted by their entries, so deck
 cards (zero-padded submatrices of A) do not count as A. Every secular
 bracket is opened by ``secular._open_brackets``, which is wrapped too.
+Spectra are clustered by ``core.cluster_spectrum``: a deck clusters its
+cards only when ``card_spectra`` is read.
 """
 
 import numpy as np
 import pytest
 
 from eigenrecon import core, secular, squares, verify
+from oracles import delete
+from test_core import HARD_CASES, hard_matrices
 
 
 @pytest.fixture
@@ -41,6 +45,49 @@ def test_square_table_decomposes_matrix_once(solved):
     A = random_symmetric(5, 6)
     squares.square_table(A)
     assert solved(A.entries) == 1
+
+
+@pytest.fixture
+def clustered(monkeypatch):
+    """The length of each spectrum passed to ``core.cluster_spectrum``."""
+    lengths = []
+    original = core.cluster_spectrum
+
+    def counting_cluster_spectrum(values):
+        lengths.append(len(values))
+        return original(values)
+
+    monkeypatch.setattr(core, "cluster_spectrum", counting_cluster_spectrum)
+    return lengths
+
+
+def test_verify_gm_clusters_only_the_two_parents(clustered):
+    A, B = random_symmetric(6, 5), random_symmetric(7, 5)
+    verify.verify_gm(A, B)
+    verify.verify_gm(A, B, multiset_deck=True)
+    assert clustered == [5, 5, 5, 5]
+
+
+def test_square_table_clusters_only_the_parent(clustered):
+    squares.square_table(random_symmetric(5, 6))
+    assert clustered == [6]
+
+
+@pytest.mark.parametrize("n, name", HARD_CASES)
+def test_card_spectra_match_eager_clustering(clustered, n, name):
+    A = core.SymmetricMatrix.from_array(hard_matrices(n, 41)[name])
+    d = core.deck(A)
+    assert clustered == [n]
+    assert d.cards.shape == (n, n - 1) and not d.cards.flags.writeable
+    spectra = d.card_spectra
+    assert clustered == [n] + [n - 1] * n
+    assert d.card_spectra is spectra  # clustered once, on first read
+    for m, (row, card) in enumerate(zip(d.cards, spectra, strict=True)):
+        eager = core.cluster_spectrum(row)
+        direct = core.eigh(delete(A, m)).spectrum
+        for want in (eager, direct):
+            assert card.values.tobytes() == want.values.tobytes()
+            assert card.clusters == want.clusters
 
 
 @pytest.mark.parametrize("check", ["det-check", "probe-tau"])

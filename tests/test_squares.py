@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from eigenrecon import core, squares
-from oracles import square_ratio_product, square_table_by_cells
+from oracles import (reference_column, reference_square_table, square_ratio_product,
+                     square_table_by_cells)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -237,3 +238,50 @@ def test_columns_equal_the_cell_by_cell_table():
         seen["clamped"] += sum(-1e-10 <= v < 0.0 or 1.0 < v <= 1.0 + 1e-10
                                for v in raw)
     assert all(seen.values()), seen
+
+
+def assert_same_table(got, want):
+    """Byte-for-byte equal cells and warning values, equal simple columns."""
+    assert got.table.tobytes() == want.table.tobytes()
+    assert got.simple == want.simple
+    assert [(w.code, w.index, np.float64(w.value).tobytes()) for w in got.warnings] == \
+        [(w.code, w.index, np.float64(w.value).tobytes()) for w in want.warnings]
+
+
+def repeated_eigenvalues(rng, n):
+    """Q diag(1, ..., 1, -2, ..., -2) Q^T: every column of its table is NaN
+    but, for odd n, one."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    m = q @ np.diag(np.where(np.arange(n) < n // 2, 1.0, -2.0)) @ q.T
+    return core.SymmetricMatrix.from_array((m + m.T) / 2)
+
+
+def test_one_pass_table_matches_the_per_column_reference():
+    # Every n from 2 to 12: a uniform matrix, a 0/1 graph and a matrix with
+    # two repeated eigenvalues, at scales 4^-10, 1 and 4^10 in turn.
+    rng = np.random.default_rng(1709)
+    nan_columns = 0
+    for n in range(2, 13):
+        e = (-10, 0, 10)[n % 3]
+        for A in (seeded_matrix(rng, "uniform", n, e), seeded_matrix(rng, "graph", n, e),
+                  repeated_eigenvalues(rng, n)):
+            d = core.deck(A)
+            t = squares.square_table_from_deck(d)
+            assert_same_table(t, reference_square_table(d))
+            spec = d.parent.spectrum
+            for i in t.simple:
+                assert squares.reconstruct_square(spec, d.cards, i).tobytes() == \
+                    reference_column(spec, d.cards, i).tobytes()
+            nan_columns += n - len(t.simple)
+    assert nan_columns
+
+
+def test_one_pass_warnings_match_the_per_column_reference():
+    # The P3 deck against a parent spectrum that it does not interlace.
+    P3 = core.SymmetricMatrix.from_array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    d = core.deck(P3)
+    spec = core.cluster_spectrum([0.5, 0.0, -0.5])
+    off = dataclasses.replace(d, parent=dataclasses.replace(d.parent, spectrum=spec))
+    t = squares.square_table_from_deck(off)
+    assert {w.code for w in t.warnings} == {"negative_square", "column_sum"}
+    assert_same_table(t, reference_square_table(off))
