@@ -8,6 +8,7 @@ import pytest
 from eigenrecon import core, squares
 from oracles import (reference_column, reference_square_table, square_ratio_product,
                      square_table_by_cells)
+from test_core import hard_matrices
 
 SQRT2 = math.sqrt(2.0)
 
@@ -248,23 +249,16 @@ def assert_same_table(got, want):
         [(w.code, w.index, np.float64(w.value).tobytes()) for w in want.warnings]
 
 
-def repeated_eigenvalues(rng, n):
-    """Q diag(1, ..., 1, -2, ..., -2) Q^T: every column of its table is NaN
-    but, for odd n, one."""
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    m = q @ np.diag(np.where(np.arange(n) < n // 2, 1.0, -2.0)) @ q.T
-    return core.SymmetricMatrix.from_array((m + m.T) / 2)
-
-
 def test_one_pass_table_matches_the_per_column_reference():
-    # Every n from 2 to 12: a uniform matrix, a 0/1 graph and a matrix with
-    # two repeated eigenvalues, at scales 4^-10, 1 and 4^10 in turn.
+    # Every n from 2 to 12: a uniform matrix and a 0/1 graph at scales 4^-10,
+    # 1 and 4^10 in turn, and a matrix whose only eigenvalues are 1 and -2,
+    # so that from n = 3 on it has NaN columns.
     rng = np.random.default_rng(1709)
     nan_columns = 0
     for n in range(2, 13):
         e = (-10, 0, 10)[n % 3]
         for A in (seeded_matrix(rng, "uniform", n, e), seeded_matrix(rng, "graph", n, e),
-                  repeated_eigenvalues(rng, n)):
+                  core.SymmetricMatrix.from_array(hard_matrices(n, n)["repeated"])):
             d = core.deck(A)
             t = squares.square_table_from_deck(d)
             assert_same_table(t, reference_square_table(d))
@@ -276,12 +270,22 @@ def test_one_pass_table_matches_the_per_column_reference():
     assert nan_columns
 
 
-def test_one_pass_warnings_match_the_per_column_reference():
+def with_parent_spectrum(d, values):
+    spec = core.cluster_spectrum(values)
+    return dataclasses.replace(d, parent=dataclasses.replace(d.parent, spectrum=spec))
+
+
+def test_one_pass_warnings_and_clamps_match_the_per_column_reference():
     # The P3 deck against a parent spectrum that it does not interlace.
     P3 = core.SymmetricMatrix.from_array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-    d = core.deck(P3)
-    spec = core.cluster_spectrum([0.5, 0.0, -0.5])
-    off = dataclasses.replace(d, parent=dataclasses.replace(d.parent, spectrum=spec))
+    off = with_parent_spectrum(core.deck(P3), [0.5, 0.0, -0.5])
     t = squares.square_table_from_deck(off)
     assert {w.code for w in t.warnings} == {"negative_square", "column_sum"}
+    assert_same_table(t, reference_square_table(off))
+    # The deck of diag(3, 1) against 3 and the float after 1: the raw cells
+    # 1 + 2^-52 and -2^-53 are clamped to 1 and 0.
+    off = with_parent_spectrum(core.deck(core.SymmetricMatrix.from_array(np.diag([3.0, 1.0]))),
+                               [3.0, np.nextafter(1.0, 2.0)])
+    t = squares.square_table_from_deck(off)
+    assert t.table.tolist() == [[1.0, 0.0], [0.0, 1.0]] and t.warnings == ()
     assert_same_table(t, reference_square_table(off))
