@@ -146,13 +146,11 @@ def compare_squares(table_a: SquareTable, table_b: SquareTable) -> SquareCompari
     """Godsil-McKay squared-entry comparison over shared simple indices.
 
     The caller guarantees the two tables come from matrices with matching
-    spectra; only indices simple in both are compared.
+    spectra; only indices simple in both are compared, in one array pass.
     """
     if table_a.n != table_b.n:
         raise ValueError("tables have different dimensions")
     shared = tuple(i for i in table_a.simple if i in table_b.simple)
-    devs = tuple(
-        float(np.max(np.abs(table_a.table[:, i] - table_b.table[:, i])))
-        for i in shared
-    )
-    return SquareComparison(shared, devs)
+    cols = list(shared)
+    devs = np.max(np.abs(table_a.table[:, cols] - table_b.table[:, cols]), axis=0)
+    return SquareComparison(shared, tuple(devs.tolist()))

@@ -6,9 +6,11 @@ theory says must then agree: squared eigenvector entries of simple
 eigenvalues, projections of the all-ones vector onto matching eigenspaces,
 simple eigenvectors not orthogonal to the all-ones vector (up to sign), and
 the lowest eigenpair of A + t*J over shifts t: ``verify_gm`` decides it in
-closed form, ``verify_theorem_main`` samples it two ways. A probe finds the
-coordinate permutation that best maps one simple eigenvector onto the other
-by sorted pairing, at any size.
+closed form, ``verify_theorem_main`` samples it two ways. ``verify_gm``
+reads the projections, the signs and the closed form's crossover shift from
+one product V^T 1 per basis. A probe finds the coordinate permutation that
+best maps one simple eigenvector onto the other by sorted pairing, at any
+size.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (EigenBasis, SymmetricMatrix, _solve_stack,
+from .core import (EigenBasis, Spectrum, SymmetricMatrix, _solve_stack,
                    cluster_mean, eigh_stack, scale_exponent, symmetrized)
 from .secular import DEFLATE_TOL, lowest_update_pairs
 from .squares import SquareComparison, compare_squares, square_table_from_deck
@@ -43,35 +45,15 @@ def value_tol(A: SymmetricMatrix, B: SymmetricMatrix) -> float:
     return float(np.ldexp(VALUE_TOL, _unit_exponent(A, B)))
 
 
-def projection_of_ones(basis: EigenBasis, cluster) -> np.ndarray:
-    """Orthogonal projection of the all-ones vector onto a cluster eigenspace."""
-    p = basis.vectors[:, list(cluster)]
-    return p @ (p.T @ np.ones(basis.n))
-
-
-@dataclass(frozen=True)
-class CanonicalVector:
-    vector: np.ndarray
-    orthogonal_to_ones: bool
-
-
-def canonicalize_sign_along_ones(v) -> CanonicalVector:
-    """Resolve the +/- ambiguity of a unit vector by its overlap with 1.
-
-    Vectors (numerically) orthogonal to the all-ones vector cannot be
-    canonicalized this way and are returned unchanged with a flag.
-    """
-    v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(f"expected a unit vector, got norm {norm}")
-    overlap = float(np.sum(v))
-    sign_tol = SIGN_TOL_SCALE * math.sqrt(len(v))
-    if overlap > sign_tol:
-        return CanonicalVector(v, False)
-    if overlap < -sign_tol:
-        return CanonicalVector(-v, False)
-    return CanonicalVector(v, True)
+def _ones_projection(basis: EigenBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """q = V^T 1, the (n, clusters) array whose column k is P_k 1, and the
+    cluster weights w_k = ||P_k 1||^2 (n times the squared main angles).
+    Clusters are runs of consecutive indices, so each is summed from its
+    first column."""
+    q = basis.vectors.T @ np.ones(basis.n)
+    starts = [c[0] for c in basis.spectrum.clusters]
+    return (q, np.add.reduceat(basis.vectors * q, starts, axis=1),
+            np.add.reduceat(q ** 2, starts))
 
 
 def principal_angle(u, v) -> float:
@@ -166,19 +148,18 @@ def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix,
     return records
 
 
-def _crossover(basis: EigenBasis, e: int) -> float | None:
+def _crossover(spec: Spectrum, w: np.ndarray, e: int) -> float | None:
     """t*/2^e = -1 / sum_k w_k / (lambda_k - lambda_n) over the main clusters
     k (w_k = ||P_k 1||^2 above the secular deflation floor), each at its top
     value and in the unit 2^e, so that nothing overflows. If A's lowest
     cluster is not main, its value is the lowest of A + t*J for t in (t*, 0).
     None if it is main or no default shift lies in (t*, 0).
     """
-    starts = [c[0] for c in basis.spectrum.clusters]
-    w = np.add.reduceat((basis.vectors.T @ np.ones(basis.n)) ** 2, starts)
-    main = w > DEFLATE_TOL * basis.n
+    main = w > DEFLATE_TOL * len(spec)
     if main[-1]:
         return None
-    lam = np.ldexp(basis.spectrum.values, -e)
+    lam = np.ldexp(spec.values, -e)
+    starts = [c[0] for c in spec.clusters]
     t_star = -1.0 / float(np.sum(w[main] / (lam[starts][main] - lam[-1])))
     return t_star if t_star < max(DEFAULT_T_SAMPLES) else None
 
@@ -248,7 +229,8 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, *,
     """
     if A.n != B.n:
         raise ValueError("dimension mismatch")
-    tol = value_tol(A, B)
+    e = _unit_exponent(A, B)
+    tol = float(np.ldexp(VALUE_TOL, e))
     (deck_a, deck_b), _ = _solve_stack([A, B], ())
     basis_a, basis_b = deck_a.parent, deck_b.parent
     spectra_dev = float(np.max(np.abs(basis_a.spectrum.values - basis_b.spectrum.values)))
@@ -271,39 +253,33 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, *,
     squares = compare_squares(square_table_from_deck(deck_a),
                               square_table_from_deck(deck_b))
 
-    projections = []
-    if len(basis_a.spectrum.clusters) == len(basis_b.spectrum.clusters):
-        for ca, cb in zip(basis_a.spectrum.clusters, basis_b.spectrum.clusters):
-            pa = projection_of_ones(basis_a, ca)
-            pb = projection_of_ones(basis_b, cb)
-            dist = float(np.linalg.norm(pa - pb))
-            projections.append({
-                "value": cluster_mean(basis_a.spectrum, ca),
-                "distance": dist,
-                "pass": dist <= PROJECTION_TOL,
-            })
+    # Projections of 1 onto matching eigenspaces, and simple eigenvectors
+    # signed along 1, all from q = V^T 1 of each basis. A vector too close to
+    # orthogonal to 1 has no such sign and is skipped.
+    (qa, pa, wa), (qb, pb, wb) = _ones_projection(basis_a), _ones_projection(basis_b)
+    if pa.shape == pb.shape:
+        projections = tuple(
+            {"value": cluster_mean(basis_a.spectrum, c), "distance": d,
+             "pass": d <= PROJECTION_TOL}
+            for c, d in zip(basis_a.spectrum.clusters,
+                            np.linalg.norm(pa - pb, axis=0).tolist()))
     else:
-        projections.append({"value": None, "distance": None, "pass": False,
-                            "note": "cluster structures differ"})
-
-    signs = []
-    for i in range(A.n):
-        if not (basis_a.spectrum.is_simple(i) and basis_b.spectrum.is_simple(i)):
-            continue
-        ca = canonicalize_sign_along_ones(basis_a.vectors[:, i])
-        cb = canonicalize_sign_along_ones(basis_b.vectors[:, i])
-        if ca.orthogonal_to_ones or cb.orthogonal_to_ones:
-            continue
-        dist = float(np.linalg.norm(ca.vector - cb.vector))
-        signs.append({"index": i, "distance": dist, "pass": dist <= VECTOR_TOL})
+        projections = ({"value": None, "distance": None, "pass": False,
+                        "note": "cluster structures differ"},)
+    idx = np.array(squares.indices, dtype=int)  # simple in both
+    sign_tol = SIGN_TOL_SCALE * math.sqrt(A.n)
+    idx = idx[(np.abs(qa[idx]) > sign_tol) & (np.abs(qb[idx]) > sign_tol)]
+    dists = np.linalg.norm(basis_a.vectors[:, idx] * np.sign(qa[idx])
+                           - basis_b.vectors[:, idx] * np.sign(qb[idx]), axis=0)
+    signs = tuple({"index": i, "distance": d, "pass": d <= VECTOR_TOL}
+                  for i, d in zip(idx.tolist(), dists.tolist()))
 
     # Theorem-main in closed form: A + t*J keeps A's retained eigenvalues and
     # adds the roots of 1 + t * sum_k w_k / (lambda_k - mu), with eigenvectors
     # along sum_k P_k 1 / (lambda_k - mu). Equal spectra and projections,
     # checked above, thus give equal root eigenpairs at every t, and only a
     # retained lowest eigenvalue, for t in (t*, 0), is left to compare.
-    e = _unit_exponent(A, B)
-    t_star = _crossover(basis_a, e), _crossover(basis_b, e)
+    t_star = _crossover(basis_a.spectrum, wa, e), _crossover(basis_b.spectrum, wb, e)
     r = None if t_star == (None, None) else A.n - 1
     conclusive = r is not None and basis_a.spectrum.is_simple(r) and basis_b.spectrum.is_simple(r)
     angle = None if r is None else principal_angle(basis_a.vectors[:, r], basis_b.vectors[:, r])
@@ -311,7 +287,7 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, *,
                     "conclusive": conclusive, "angle": angle,
                     "pass": not conclusive or angle <= VECTOR_TOL}
     return PairReport(A.n, tol, spectra_dev, deck_devs, multiset_devs,
-                      squares, tuple(projections), tuple(signs), theorem_main)
+                      squares, projections, signs, theorem_main)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
 """Reference formulas for the tests: characteristic-polynomial oracles
 evaluated from a spectrum or exact over the integers, the square table
-filled cell by cell and column by column, the vertex-deleted submatrix, the
-stack-first Jacobi kernel and the scalar secular bracket search."""
+filled cell by cell and column by column, the projection and sign records
+of ``verify_gm`` one cluster and one column at a time, the vertex-deleted
+submatrix, the stack-first Jacobi kernel and the scalar secular bracket
+search."""
+
+import math
 
 import numpy as np
 
-from eigenrecon import core, secular, squares
+from eigenrecon import core, secular, squares, verify
 
 
 def char_poly_eval(spec, lam: float) -> float:
@@ -112,6 +116,41 @@ def reference_square_table(deck) -> squares.SquareTable:
         if abs(colsum - 1.0) > squares.ROW_SUM_TOL:
             warnings.append(core.Diagnostic("column_sum", i, colsum))
     return squares.SquareTable(n, table, simple, tuple(warnings))
+
+
+def reference_projections(basis_a, basis_b) -> list[dict]:
+    """``verify_gm``'s projection records one matching cluster pair at a
+    time, each P_k 1 formed from that cluster's columns alone."""
+    clusters = basis_a.spectrum.clusters, basis_b.spectrum.clusters
+    if len(clusters[0]) != len(clusters[1]):
+        return [{"value": None, "distance": None, "pass": False,
+                 "note": "cluster structures differ"}]
+    records = []
+    for ca, cb in zip(*clusters):
+        pa, pb = (b.vectors[:, list(c)] for b, c in ((basis_a, ca), (basis_b, cb)))
+        dist = float(np.linalg.norm(pa @ (pa.T @ np.ones(basis_a.n))
+                                    - pb @ (pb.T @ np.ones(basis_b.n))))
+        records.append({"value": core.cluster_mean(basis_a.spectrum, ca),
+                        "distance": dist, "pass": dist <= verify.PROJECTION_TOL})
+    return records
+
+
+def reference_signs(basis_a, basis_b) -> list[dict]:
+    """``verify_gm``'s sign records one index at a time: each eigenvector
+    simple in both bases, signed by its own entry sum, skipped when either
+    sum is within SIGN_TOL_SCALE * sqrt(n) of 0."""
+    sign_tol = verify.SIGN_TOL_SCALE * math.sqrt(basis_a.n)
+    records = []
+    for i in range(basis_a.n):
+        if not (basis_a.spectrum.is_simple(i) and basis_b.spectrum.is_simple(i)):
+            continue
+        va, vb = basis_a.vectors[:, i], basis_b.vectors[:, i]
+        sa, sb = float(np.sum(va)), float(np.sum(vb))
+        if abs(sa) <= sign_tol or abs(sb) <= sign_tol:
+            continue
+        dist = float(np.linalg.norm(math.copysign(1.0, sa) * va - math.copysign(1.0, sb) * vb))
+        records.append({"index": i, "distance": dist, "pass": dist <= verify.VECTOR_TOL})
+    return records
 
 
 def delete(A, i: int):

@@ -54,7 +54,7 @@ PINNED_MACHINE = "x86_64"
 SEED7_DIGESTS = {
     "reconstruct": "eabb98b99e6e81d0131e5db69cecc6e91a0d3a62e745806c156a6873c7d33ad2",
     "rank1_stream": "2b280ff542487713e45cd5359efaaeeeb2be52cad34923cfdf943a5363a05027",
-    "pair_verify": "3e171adf41dfbf958b8cf26cedbbd8888e7965935fcf50b1fb2a635e77a91214",
+    "pair_verify": "36658066cc43302e82980aa25345a50571236034ec5cbca9ff80604b5832205f",
     "cli_oneshot": "a9d27560da003c75ad3f88e19397705b47158b2bd56ff2610f465cf7a0182831",
 }
 

@@ -7,7 +7,8 @@ kernel is wrapped. Solved matrices are counted by their entries, so deck
 cards (zero-padded submatrices of A) do not count as A. Every secular
 bracket is opened by ``secular._open_brackets``, which is wrapped too.
 Spectra are clustered by ``core.cluster_spectrum``: a deck clusters its
-cards only when ``card_spectra`` is read.
+cards only when ``card_spectra`` is read. ``verify_gm`` forms V^T 1 of each
+basis once, in ``verify._ones_projection``.
 """
 
 import numpy as np
@@ -143,6 +144,25 @@ def test_verify_gm_decomposes_each_matrix_once(solved, opened):
     assert len(solved.calls) == 1
     assert len(solved.calls[0]) == 2 * (5 + 1)
     assert opened == []
+
+
+def test_verify_gm_projects_ones_once_per_basis(monkeypatch):
+    # Projections, signs and t* all read the one V^T 1 of each basis.
+    projected = []
+    original = verify._ones_projection
+
+    def counting_ones_projection(basis):
+        projected.append(basis)
+        return original(basis)
+
+    monkeypatch.setattr(verify, "_ones_projection", counting_ones_projection)
+    A, B = random_symmetric(6, 5), random_symmetric(7, 5)
+    for multiset_deck in (False, True):
+        projected.clear()
+        verify.verify_gm(A, B, multiset_deck=multiset_deck)
+        assert len(projected) == 2
+        assert [b.spectrum.values.tobytes() for b in projected] == [
+            core.eigh(M).spectrum.values.tobytes() for M in (A, B)]
 
 
 def test_theorem_main_solves_one_bracket_per_nonzero_shift(monkeypatch, opened):

@@ -181,6 +181,30 @@ class TestCompareSquares:
         assert cmp.passed
         assert cmp.worst <= 1e-10
 
+    def test_different_simple_sets(self):
+        # A has the double eigenvalue 2 (columns 1 and 2 are not simple), B
+        # none: only the shared columns are compared, each exactly as alone.
+        rng = np.random.default_rng(6)
+        q, _ = np.linalg.qr(rng.uniform(-1, 1, (5, 5)))
+        a = squares.square_table(core.SymmetricMatrix.from_array(
+            q @ np.diag([3.0, 2.0, 2.0, 1.0, 0.0]) @ q.T))
+        b = squares.square_table(random_simple_symmetric(rng, 5))
+        assert a.simple == (0, 3, 4) and b.simple == (0, 1, 2, 3, 4)
+        cmp = squares.compare_squares(a, b)
+        assert cmp.indices == (0, 3, 4)
+        assert cmp.max_dev == tuple(float(np.max(np.abs(a.table[:, i] - b.table[:, i])))
+                                    for i in cmp.indices)
+        assert [r["index"] for r in cmp.to_dict()["per_index"]] == [0, 3, 4]
+
+    def test_no_shared_index_passes(self):
+        # A scalar matrix has no simple eigenvalue, so nothing is compared.
+        a = squares.square_table(core.SymmetricMatrix.from_array(0.7 * np.eye(4)))
+        b = squares.square_table(random_simple_symmetric(np.random.default_rng(7), 4))
+        cmp = squares.compare_squares(a, b)
+        assert cmp.indices == () and cmp.max_dev == ()
+        assert cmp.passed and cmp.worst == 0.0
+        assert cmp.to_dict()["per_index"] == []
+
     def test_dimension_mismatch(self):
         a = squares.square_table(core.SymmetricMatrix.from_array(np.diag([3.0, 1.0])))
         b = squares.square_table(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eigenrecon import core, verify
-from oracles import charpoly
+from oracles import charpoly, reference_projections, reference_signs
 
 
 def random_symmetric(rng, n):
@@ -22,34 +22,43 @@ def path_graph(n):
 
 
 class TestProjectionOfOnes:
+    """``_ones_projection``: q = V^T 1, P_k 1 per cluster and w_k = ||P_k 1||^2."""
+
     def test_swap_matrix_top(self):
         basis = core.eigh(core.SymmetricMatrix.from_array([[0, 1], [1, 0]]))
-        proj = verify.projection_of_ones(basis, basis.spectrum.clusters[0])
-        np.testing.assert_allclose(proj, [1.0, 1.0], atol=1e-14)
+        q, proj, w = verify._ones_projection(basis)
+        np.testing.assert_allclose(proj[:, 0], [1.0, 1.0], atol=1e-14)
+        assert q[0] == pytest.approx(math.sqrt(2.0), abs=1e-14)
+        assert w[0] == pytest.approx(2.0, abs=1e-14)
 
     def test_swap_matrix_bottom(self):
         basis = core.eigh(core.SymmetricMatrix.from_array([[0, 1], [1, 0]]))
-        proj = verify.projection_of_ones(basis, basis.spectrum.clusters[1])
-        np.testing.assert_allclose(proj, [0.0, 0.0], atol=1e-14)
+        q, proj, w = verify._ones_projection(basis)
+        np.testing.assert_allclose(proj[:, 1], [0.0, 0.0], atol=1e-14)
+        assert abs(q[1]) <= 1e-14 and w[1] <= 1e-28
 
     def test_idempotent(self):
         basis = core.eigh(random_symmetric(np.random.default_rng(2), 6))
-        for cluster in basis.spectrum.clusters:
-            proj = verify.projection_of_ones(basis, cluster)
-            idx = list(cluster)
-            p = basis.vectors[:, idx]
-            again = p @ (p.T @ proj)
-            assert np.max(np.abs(again - proj)) <= 1e-12
+        q, proj, w = verify._ones_projection(basis)
+        assert proj.shape == (6, len(basis.spectrum.clusters))
+        for k, cluster in enumerate(basis.spectrum.clusters):
+            p = basis.vectors[:, list(cluster)]
+            again = p @ (p.T @ proj[:, k])
+            assert np.max(np.abs(again - proj[:, k])) <= 1e-12
+            assert w[k] == pytest.approx(proj[:, k] @ proj[:, k], rel=1e-12)
+        # The eigenspaces resolve the identity: the projections sum to 1.
+        assert np.max(np.abs(proj.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_basis_rotation_invariant(self):
         # Build a 6x6 with a double eigenvalue, rotate inside the cluster,
-        # and confirm the projection does not move.
+        # and confirm that its projection and weight do not move.
         rng = np.random.default_rng(4)
         q, _ = np.linalg.qr(rng.uniform(-1, 1, (6, 6)))
         d = np.diag([3.0, 2.0, 2.0, 1.0, 0.5, -1.0])
         basis = core.eigh(core.SymmetricMatrix.from_array(q @ d @ q.T))
-        cluster = next(c for c in basis.spectrum.clusters if len(c) == 2)
-        proj = verify.projection_of_ones(basis, cluster)
+        k, cluster = next((k, c) for k, c in enumerate(basis.spectrum.clusters)
+                          if len(c) == 2)
+        _, proj, w = verify._ones_projection(basis)
 
         theta = 0.7
         rot = np.array([[math.cos(theta), -math.sin(theta)],
@@ -57,31 +66,61 @@ class TestProjectionOfOnes:
         vecs = basis.vectors.copy()
         vecs[:, list(cluster)] = vecs[:, list(cluster)] @ rot
         rotated = core.EigenBasis(basis.spectrum, vecs)
-        proj2 = verify.projection_of_ones(rotated, cluster)
-        assert np.max(np.abs(proj - proj2)) <= 1e-10
+        q2, proj2, w2 = verify._ones_projection(rotated)
+        assert np.max(np.abs(proj[:, k] - proj2[:, k])) <= 1e-10
+        assert w2[k] == pytest.approx(w[k], rel=1e-12)
 
 
 class TestCanonicalizeSign:
-    def test_flips_negative_overlap(self):
-        s = 1 / math.sqrt(2)
-        out = verify.canonicalize_sign_along_ones([-s, -s])
-        np.testing.assert_allclose(out.vector, [s, s])
-        assert not out.orthogonal_to_ones
+    """``verify_gm``'s sign records: each simple eigenvector takes the sign
+    of its own entry of V^T 1, and one numerically orthogonal to 1 is
+    skipped."""
+
+    @staticmethod
+    def negating_b(monkeypatch):
+        # B's basis comes back with every eigenvector negated, as valid a
+        # basis as the one the solver returned.
+        original = verify._solve_stack
+
+        def solve(decked, plain):
+            (deck_a, deck_b), bases = original(decked, plain)
+            parent = dataclasses.replace(deck_b.parent, vectors=-deck_b.parent.vectors)
+            return [deck_a, dataclasses.replace(deck_b, parent=parent)], bases
+
+        monkeypatch.setattr(verify, "_solve_stack", solve)
+
+    def test_flips_negative_overlap(self, monkeypatch):
+        A = random_symmetric(np.random.default_rng(8), 6)
+        want = verify.verify_gm(A, A).signs
+        assert len(want) == 6 and all(s["distance"] == 0.0 for s in want)
+        self.negating_b(monkeypatch)
+        assert verify.verify_gm(A, A).signs == want
 
     def test_orthogonal_flagged(self):
-        s = 1 / math.sqrt(2)
-        out = verify.canonicalize_sign_along_ones([s, -s])
-        np.testing.assert_allclose(out.vector, [s, -s])
-        assert out.orthogonal_to_ones
+        # The eigenvectors of P4 for its 2nd and 4th eigenvalues are
+        # antisymmetric under reversal, so orthogonal to 1, and skipped;
+        # so is the (1, -1)/sqrt(2) of the swap matrix.
+        P4 = path_graph(4)
+        assert [s["index"] for s in verify.verify_gm(P4, P4).signs] == [0, 2]
+        swap = core.SymmetricMatrix.from_array([[0, 1], [1, 0]])
+        assert [s["index"] for s in verify.verify_gm(swap, swap).signs] == [0]
 
     def test_positive_overlap_unchanged(self):
-        out = verify.canonicalize_sign_along_ones([0.8, -0.6])
-        np.testing.assert_allclose(out.vector, [0.8, -0.6])
-        assert not out.orthogonal_to_ones
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(ValueError, match="unit"):
-            verify.canonicalize_sign_along_ones([1.0, 1.0])
+        # Jacobi makes each column's largest entry positive; where that
+        # leaves a positive entry sum in both, the vectors are compared as
+        # they are.
+        rng = np.random.default_rng(10)
+        A = random_symmetric(rng, 5)
+        B = core.SymmetricMatrix.from_array(A.entries + 1e-9 * random_symmetric(rng, 5).entries)
+        report = verify.verify_gm(A, B)
+        va, vb = (core.eigh(M).vectors for M in (A, B))
+        positive = [s for s in report.signs if va[:, s["index"]].sum() > 0
+                    and vb[:, s["index"]].sum() > 0]
+        assert positive
+        for s in positive:
+            i = s["index"]
+            assert s["distance"] == pytest.approx(np.linalg.norm(va[:, i] - vb[:, i]),
+                                                  rel=1e-12, abs=1e-15)
 
 
 class TestVerifyGm:
@@ -320,6 +359,22 @@ class TestClosedFormTheoremMain:
             assert got_t == t
             assert verify.VECTOR_TOL < got_angle == pytest.approx(angle, rel=1e-3)
 
+    def test_scaled_pair_passes_where_the_sampled_check_does_not(self):
+        # B = (1 + 2e-9) A has spectra within VALUE_TOL of A's and equal
+        # projections, so the closed form passes it. The sampled check holds
+        # the lowest eigenvector of A + tJ to VECTOR_TOL however
+        # ill-conditioned it is, and fails each pair with worst conclusive
+        # angles of 1.2-1.8e-8: a limit of ``tmain``, still open.
+        for seed in (1, 4, 35):
+            A = random_symmetric(np.random.default_rng(seed), 6)
+            B = core.SymmetricMatrix.from_array((1 + 2e-9) * A.entries)
+            report = verify.verify_gm(A, B)
+            assert report.passed, seed
+            samples = verify.verify_theorem_main(A, B)
+            assert not all(r.passes(report.tol) for r in samples), seed
+            worst = max(r.angle for r in samples if r.conclusive)
+            assert 1.2e-8 < worst < 1.9e-8, seed
+
     def test_p4_reversal_has_a_retained_lowest_eigenvalue(self):
         # The lowest eigenvector of P4, (1, -g, g, -1) with g the golden
         # ratio, is orthogonal to 1, so it is the lowest of P4 + t*J for t in
@@ -336,6 +391,62 @@ class TestClosedFormTheoremMain:
         assert tm["angle"] <= 1e-15
         samples = verify.verify_theorem_main(P4, P4)
         assert [math.isnan(r.secular_angle) for r in samples] == [r.t > t_star for r in samples]
+
+
+ORACLE_KINDS = ("reflexive", "relabelled", "perturbed", "dad", "graph", "repeated")
+
+
+def oracle_pairs(seed=19, count=270):
+    """Seeded pairs, n = 2..10, cycling through ORACLE_KINDS: uniform random
+    matrices against themselves, relabelled, perturbed by 1e-6 and switched
+    to DAD; 0/1 graphs relabelled; and matrices with integer eigenvalues
+    drawn from -2..2, so mostly repeated, relabelled."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = 2 + k % 9
+        kind = ORACLE_KINDS[k // 9 % len(ORACLE_KINDS)]
+        if kind == "graph":
+            a = np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
+            a += a.T
+        elif kind == "repeated":
+            q, _ = np.linalg.qr(rng.uniform(-1, 1, (n, n)))
+            a = q @ np.diag(rng.integers(-2, 3, n).astype(float)) @ q.T
+            a = (a + a.T) / 2
+        else:
+            a = random_symmetric(rng, n).entries
+        if kind == "reflexive":
+            b = a
+        elif kind == "perturbed":
+            b = a + 1e-6 * random_symmetric(rng, n).entries
+        elif kind == "dad":
+            d = np.ones(n)
+            d[rng.permutation(n)[:rng.integers(1, n)]] = -1.0
+            b = d[:, None] * a * d
+        else:
+            perm = rng.permutation(n)
+            b = a[np.ix_(perm, perm)]
+        yield k, core.SymmetricMatrix.from_array(a), core.SymmetricMatrix.from_array(b)
+
+
+class TestOnesProjectionOracle:
+    """The one-pass projection and sign records against the per-cluster and
+    per-column records of ``tests/oracles.py``. One product V^T 1 over all
+    columns rounds differently from one per cluster, so distances may move
+    in the last bits; everything else is identical."""
+
+    def test_records_match_the_reference(self):
+        # The last pair has a double eigenvalue in A only.
+        uneven = [core.SymmetricMatrix.from_array(np.diag(d)) for d in ([2.0, 1, 1], [2.0, 1.5, 1])]
+        for k, A, B in itertools.chain(oracle_pairs(), [("uneven", *uneven)]):
+            report = verify.verify_gm(A, B)
+            basis_a, basis_b = core.eigh_stack([A, B])
+            for got, want in ((report.projections, reference_projections(basis_a, basis_b)),
+                              (report.signs, reference_signs(basis_a, basis_b))):
+                assert len(got) == len(want), k
+                for g, w in zip(got, want):
+                    assert {**g, "distance": None} == {**w, "distance": None}, k
+                    if w["distance"] is not None:
+                        assert abs(g["distance"] - w["distance"]) <= 1e-15, k
 
 
 class TestTheoremMain:
