@@ -8,32 +8,39 @@ guaranteed interlacing brackets; and both combine into checkable statements
 about matrices sharing a spectral deck.
 
 The package re-exports the quick-start entry points; everything else lives in
-the submodules ``core``, ``secular``, ``squares`` and ``verify``.
+the submodules ``core``, ``secular``, ``squares`` and ``verify``. Each export
+is imported from its submodule on first access (PEP 562), so a command-line
+run loads only the submodules its subcommand uses.
 """
 
-from .core import (
-    ConvergenceError,
-    MatrixFormatError,
-    SymmetricMatrix,
-    deck,
-    eigh,
-    parse_matrix,
-)
-from .secular import BracketError, rank1_update
-from .squares import square_table
-from .verify import verify_gm
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BracketError",
-    "ConvergenceError",
-    "MatrixFormatError",
-    "SymmetricMatrix",
-    "deck",
-    "eigh",
-    "parse_matrix",
-    "rank1_update",
-    "square_table",
-    "verify_gm",
-]
+# Each exported name and the submodule that defines it.
+_HOMES = {
+    "BracketError": "core",
+    "ConvergenceError": "core",
+    "MatrixFormatError": "core",
+    "SymmetricMatrix": "core",
+    "deck": "core",
+    "eigh": "core",
+    "parse_matrix": "core",
+    "rank1_update": "secular",
+    "square_table": "squares",
+    "verify_gm": "verify",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted([*globals(), *__all__])

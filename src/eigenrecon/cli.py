@@ -9,7 +9,9 @@ Infinity. Diagnostics go to stderr. Exit codes: 0 pass, 1 check failure,
 did not converge). Codes 2 and 3 print one ``error:`` line on stderr and
 nothing on stdout. The checks take no tolerance or sampling flags: every
 threshold and probe point is derived from the input, and each report's
-``tol`` key gives the threshold it applied.
+``tol`` key gives the threshold it applied. A handler imports the submodules
+beyond ``core`` that it runs, so a process loads only what its subcommand
+needs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import core, secular, squares, verify
+from . import core
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -67,6 +69,8 @@ def cmd_deck(args) -> int:
 
 
 def cmd_squares(args) -> int:
+    from . import squares
+
     table = squares.square_table(_read_matrix(args.matrix))
     print(table.to_json())
     for w in table.warnings:
@@ -76,6 +80,8 @@ def cmd_squares(args) -> int:
 
 
 def cmd_rank1(args) -> int:
+    from . import secular
+
     A = _read_matrix(args.matrix)
     result = secular.rank1_update(core.eigh(A), _read_x(args.x, A.n), args.t)
     warned = {w.index for w in result.warnings}
@@ -94,6 +100,8 @@ def cmd_rank1(args) -> int:
 
 
 def cmd_det_check(args) -> int:
+    from . import secular
+
     A = _read_matrix(args.matrix)
     report = secular.verify_det_identity(A, _read_x(args.x, A.n), args.t)
     payload = {
@@ -108,6 +116,8 @@ def cmd_det_check(args) -> int:
 
 
 def cmd_gm_verify(args) -> int:
+    from . import verify
+
     report = verify.verify_gm(_read_matrix(args.matrix_a),
                               _read_matrix(args.matrix_b),
                               multiset_deck=args.multiset_deck)
@@ -135,6 +145,8 @@ def _parse_t_samples(spec: str):
 
 
 def cmd_tmain(args) -> int:
+    from . import verify
+
     A, B = _read_matrix(args.matrix_a), _read_matrix(args.matrix_b)
     records = verify.verify_theorem_main(A, B, args.t_samples)
     tol = verify.value_tol(A, B)
@@ -150,6 +162,8 @@ def cmd_tmain(args) -> int:
 
 
 def cmd_probe_tau(args) -> int:
+    from . import verify
+
     probe = verify.probe_permutation_conjecture(
         _read_matrix(args.matrix_a), _read_matrix(args.matrix_b), args.index)
     print(json.dumps(probe.to_dict()))
@@ -204,7 +218,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (core.ConvergenceError, secular.BracketError) as exc:
+    except (core.ConvergenceError, core.BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

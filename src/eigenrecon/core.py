@@ -10,7 +10,7 @@ the n vertex-deleted principal submatrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -26,6 +26,10 @@ class MatrixFormatError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """Raised when Jacobi hits its sweep cap or an eigenvalue passes the float range."""
+
+
+class BracketError(RuntimeError):
+    """A secular root bracket could not be established or did not converge."""
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,20 @@ def cluster_mean(spec: Spectrum, cluster) -> float:
     return float(np.ldexp(np.mean(np.ldexp(vals, -k)), k))
 
 
+def cluster_values(spec: Spectrum) -> np.ndarray:
+    """Each cluster's representative value, its ``cluster_mean`` bit for bit.
+
+    A simple eigenvalue is its own mean; adding 0.0 turns -0.0 into 0.0, as
+    np.mean does. Only the wider clusters are averaged.
+    """
+    clusters = spec.clusters
+    values = spec.values[[c[0] for c in clusters]] + 0.0
+    for k, c in enumerate(clusters):
+        if len(c) > 1:
+            values[k] = cluster_mean(spec, c)
+    return values
+
+
 def default_cluster_tol(values) -> float:
     """max(1e-12 * max|lambda|, 1e-8 * spread), relative to the values."""
     return max(1e-12 * float(np.max(np.abs(values))), 1e-8 * _spread(values))
@@ -195,6 +213,23 @@ def _rounds(n: int) -> list[tuple[np.ndarray, ...]]:
                     sign, floor))
 
 
+@lru_cache(maxsize=8)
+def _round_gathers(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """``_rounds(n)`` as ``_jacobi`` reads them, read-only and built once per n.
+
+    Each round is (partner, at, sign, floor): ``at`` gathers a_lo,hi of
+    every row k, then a_lo,lo, then a_hi,hi, from the flat (2n * n, b)
+    view of the working array; ``sign`` and ``floor`` are columns that
+    broadcast over the stack.
+    """
+    rounds = tuple((partner, np.concatenate([lo * n + hi, lo * (n + 1), hi * (n + 1)]),
+                    sign[:, None], floor[:, None])
+                   for partner, lo, hi, sign, floor in _rounds(n))
+    for arr in (a for r in rounds for a in r):
+        arr.setflags(write=False)
+    return rounds
+
+
 def scale_exponent(peak):
     """The even e with peak * 2^-e in [0.5, 2), elementwise; 0 where peak is 0."""
     return np.frexp(peak)[1] & ~1
@@ -235,9 +270,6 @@ def _jacobi(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # (2n * n, b) view: g[:n] holds a_lo,hi of each row k, g[n:2n] a_lo,lo
     # and g[2n:] a_hi,hi.
     flat = work.reshape(2 * n * n, b)
-    rounds = [(partner, np.concatenate([lo * n + hi, lo * (n + 1), hi * (n + 1)]),
-               sign[:, None], floor[:, None])
-              for partner, lo, hi, sign, floor in _rounds(n)]
     k = np.arange(n)
     rotated = n > 1
     sweeps = 0
@@ -250,7 +282,7 @@ def _jacobi(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     f"Jacobi failed to converge in {JACOBI_MAX_SWEEPS} sweeps"
                 )
             rotated = False
-            for partner, at, sign, floor in rounds:
+            for partner, at, sign, floor in _round_gathers(n):
                 g = flat[at]
                 root = np.sqrt(np.abs(g[n:]))
                 act = np.abs(g[:n]) > np.maximum(1e-15 * root[:n] * root[n:], floor)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FLOAT_MAX, Diagnostic, EigenBasis, Spectrum, SymmetricMatrix,
-                   canonical_column_signs, cluster_mean, cluster_spectrum,
-                   default_cluster_tol, eigh_stack)
+from .core import (FLOAT_MAX, BracketError, Diagnostic, EigenBasis, Spectrum,
+                   SymmetricMatrix, canonical_column_signs, cluster_spectrum,
+                   cluster_values, default_cluster_tol, eigh_stack)
 
 DEFLATE_TOL = 1e-12
 POLE_OFFSET_SCALE = 1e-13
@@ -28,10 +28,6 @@ ROOT_WIDTH_TOL = 1e-13
 NEAR_DEGENERATE_TOL = 1e-10
 MAX_BISECT = 200
 DET_TOL = 1e-9
-
-
-class BracketError(RuntimeError):
-    """A root bracket could not be established or did not converge."""
 
 
 @dataclass(frozen=True)
@@ -84,8 +80,10 @@ def build_secular(basis: EigenBasis, x, t: float) -> SecularSystem:
             f"a cluster spans {widest:.3e}, wider than {limit:.3e}; the "
             "secular equation needs exact multiplicities")
     q = basis.vectors.T @ x
-    poles = np.array([cluster_mean(spec, c) for c in spec.clusters])
-    weights = np.array([float(np.sum(q[list(c)] ** 2)) for c in spec.clusters])
+    poles = cluster_values(spec)
+    q2 = q ** 2
+    weights = np.array([q2[c[0]] if len(c) == 1 else np.sum(q2[list(c)])
+                        for c in spec.clusters])
     floor = DEFLATE_TOL * float(x @ x)
     active = tuple(k for k in range(len(weights)) if t != 0.0 and weights[k] > floor)
     active_poles = poles[list(active)]
@@ -98,9 +96,11 @@ def build_secular(basis: EigenBasis, x, t: float) -> SecularSystem:
 def secular_eval(sys: SecularSystem, lam: float) -> float:
     """P_t(lam) = 1 + sum over active clusters of t*w_k/(pole_k - lam)."""
     poles = sys.active_poles
-    if np.any(poles == lam):
+    # The array methods skip np.any's and np.sum's Python wrappers, which
+    # cost more than the reductions at these sizes; the sums are the same.
+    if (poles == lam).any():
         raise ZeroDivisionError(f"evaluation at active pole lambda={lam}")
-    return float(1.0 + np.sum(sys.t * sys.active_weights / (poles - lam)))
+    return float(1.0 + (sys.t * sys.active_weights / (poles - lam)).sum())
 
 
 def _bisect(f, lo: float, hi: float, f_lo: float, unit: float) -> float:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (EigenBasis, Spectrum, SymmetricMatrix, _solve_stack,
-                   cluster_mean, eigh_stack, scale_exponent, symmetrized)
+                   cluster_values, eigh_stack, scale_exponent, symmetrized)
 from .secular import DEFLATE_TOL, lowest_update_pairs
 from .squares import SquareComparison, compare_squares, square_table_from_deck
 
@@ -259,9 +259,8 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, *,
     (qa, pa, wa), (qb, pb, wb) = _ones_projection(basis_a), _ones_projection(basis_b)
     if pa.shape == pb.shape:
         projections = tuple(
-            {"value": cluster_mean(basis_a.spectrum, c), "distance": d,
-             "pass": d <= PROJECTION_TOL}
-            for c, d in zip(basis_a.spectrum.clusters,
+            {"value": v, "distance": d, "pass": d <= PROJECTION_TOL}
+            for v, d in zip(cluster_values(basis_a.spectrum).tolist(),
                             np.linalg.norm(pa - pb, axis=0).tolist()))
     else:
         projections = ({"value": None, "distance": None, "pass": False,

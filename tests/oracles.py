@@ -2,8 +2,8 @@
 evaluated from a spectrum or exact over the integers, the square table
 filled cell by cell and column by column, the projection and sign records
 of ``verify_gm`` one cluster and one column at a time, the vertex-deleted
-submatrix, the stack-first Jacobi kernel and the scalar secular bracket
-search."""
+submatrix, the stack-first Jacobi kernel, the per-cluster secular poles
+and weights, and the scalar secular evaluator and bracket search."""
 
 import math
 
@@ -256,12 +256,31 @@ def open_at_pole(f, pole: float, side: int, limit: float,
     raise secular.BracketError(f"could not open a bracket at pole y = {pole}")
 
 
+def reference_poles_and_weights(basis, x) -> tuple[np.ndarray, np.ndarray]:
+    """Every cluster's secular pole and aggregated weight, one cluster at a
+    time: its ``cluster_mean`` and the sum of its q_i^2, q = V^T x."""
+    q = basis.vectors.T @ np.asarray(x, dtype=float)
+    clusters = basis.spectrum.clusters
+    return (np.array([core.cluster_mean(basis.spectrum, c) for c in clusters]),
+            np.array([float(np.sum(q[list(c)] ** 2)) for c in clusters]))
+
+
+def reference_secular_eval(sys, lam: float) -> float:
+    """P_t(lam) = 1 + sum over active clusters of t*w_k/(pole_k - lam),
+    through np.any and np.sum: ``secular.secular_eval`` is held to it."""
+    poles = sys.active_poles
+    if np.any(poles == lam):
+        raise ZeroDivisionError(f"evaluation at active pole lambda={lam}")
+    return float(1.0 + np.sum(sys.t * sys.active_weights / (poles - lam)))
+
+
 def reflect(sys):
-    """s = sign(-t), the active poles in y = s*lambda (descending) and P_t in y."""
+    """s = sign(-t), the active poles in y = s*lambda (descending) and P_t in
+    y, by ``reference_secular_eval``."""
     s = 1.0 if sys.t < 0.0 else -1.0
 
     def f(y: float) -> float:
-        return secular.secular_eval(sys, s * y)
+        return reference_secular_eval(sys, s * y)
 
     return s, np.sort(s * sys.active_poles)[::-1], f
 

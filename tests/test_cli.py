@@ -1,6 +1,10 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -522,3 +526,27 @@ def test_rank1_repeated_eigenvalue_near_float_max(matrix_file, capsys, t):
     expected = np.linalg.eigvalsh(1e308 * np.eye(2) + float(t) * np.ones((2, 2)))
     values = [e["value"] for e in payload["eigenvalues"]]
     assert values == pytest.approx(expected[::-1], rel=1e-13)
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["eig"], set()),
+    (["deck"], set()),
+    (["squares"], {"squares"}),
+    (["rank1", "--x", "ones", "--t", "-0.5"], {"secular"}),
+])
+def test_subcommand_imports_only_what_it_runs(matrix_file, argv, loaded):
+    # One process, as a user runs it: -X importtime lists every module it
+    # imports on stderr.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "eigenrecon.cli", argv[0],
+         matrix_file("a.txt", P3), *argv[1:]],
+        capture_output=True, text=True, env=env, check=True)
+    json.loads(proc.stdout)
+    modules = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+               if line.startswith("import time:")}
+    assert "eigenrecon.core" in modules
+    submodules = {"secular", "squares", "verify"}
+    assert {m for m in submodules if f"eigenrecon.{m}" in modules} == loaded

@@ -5,7 +5,8 @@ Every solve goes through the kernel ``core._jacobi`` (``eigh``, ``deck``,
 ``eigh_stack`` and ``verify_gm`` all call it), so of the solvers only the
 kernel is wrapped. Solved matrices are counted by their entries, so deck
 cards (zero-padded submatrices of A) do not count as A. Every secular
-bracket is opened by ``secular._open_brackets``, which is wrapped too.
+bracket is opened by ``secular._open_brackets``, which is wrapped too, and
+each scalar bisection step calls ``secular.secular_eval`` once.
 Spectra are clustered by ``core.cluster_spectrum``: a deck clusters its
 cards only when ``card_spectra`` is read. ``verify_gm`` forms V^T 1 of each
 basis once, in ``verify._ones_projection``.
@@ -132,6 +133,28 @@ def test_rank1_update_opens_every_bracket_in_one_call(opened):
     A = random_symmetric(12, 6)
     secular.rank1_update(core.eigh(A), np.arange(1.0, 7.0), -0.4)
     assert opened == [((-0.4,) * 6, tuple(range(6)))]
+
+
+def test_rank1_update_evaluates_the_secular_function_as_often_as_before():
+    # One secular_eval call per scalar bisection step; the counts are
+    # those of the evaluator through np.any and np.sum.
+    calls = []
+    original = secular.secular_eval
+
+    def counting_secular_eval(sys, lam):
+        calls.append(lam)
+        return original(sys, lam)
+
+    basis = core.eigh(random_symmetric(32, 32))
+    x = np.random.default_rng(33).uniform(-1, 1, 32)
+    counts = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(secular, "secular_eval", counting_secular_eval)
+        for t in (-0.3, 3.0):
+            calls.clear()
+            secular.rank1_update(basis, x, t)
+            counts.append(len(calls))
+    assert counts == [1309, 1307]
 
 
 def test_verify_gm_decomposes_each_matrix_once(solved, opened):

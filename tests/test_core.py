@@ -347,6 +347,12 @@ class TestStackLastKernel:
         assert np.any((stack != 0) & (np.abs(stack) < np.finfo(float).tiny))
         self.assert_same_bytes(stack)
 
+    def test_round_gathers_are_built_once_per_n_and_read_only(self):
+        rounds = core._round_gathers(12)
+        assert core._round_gathers(12) is rounds
+        assert len(rounds) == len(core._rounds(12)) == 15
+        assert not any(arr.flags.writeable for r in rounds for arr in r)
+
     def test_eigenvalue_past_float_max_raises_in_both(self):
         stack = seeded_stack(np.random.default_rng(9), 3, 2)
         stack[1] = 1e308
@@ -507,3 +513,15 @@ class TestClusterMean:
         assert mean == pytest.approx(1.7e308, rel=1e-15)
         spec = core.cluster_spectrum([1.00000002e308, 1e308, -1e308])
         assert core.cluster_mean(spec, (0, 1)) == 1.00000001e308
+
+    @pytest.mark.parametrize("values", [
+        [1.0, -0.0, -1.0],  # np.mean of -0.0 alone is 0.0
+        [5e-324, 0.0, -0.0],
+        [1.7e308, 1.7e308, 1e308, -1.7e308, -1.7e308],
+        [2.0] * 3 + [1.0] * 9 + [-0.0],
+        list(np.sort(np.random.default_rng(18).uniform(-1, 1, 16))[::-1]),
+    ])
+    def test_cluster_values_are_the_cluster_means(self, values):
+        spec = core.cluster_spectrum(values)
+        want = np.array([core.cluster_mean(spec, c) for c in spec.clusters])
+        assert core.cluster_values(spec).tobytes() == want.tobytes()

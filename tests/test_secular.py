@@ -94,7 +94,57 @@ class TestBuildSecular:
             secular.build_secular(basis, np.ones(3), -0.5)
 
 
+    @pytest.mark.parametrize("diagonal", [
+        [1.0, -0.0, -1.0],  # np.mean turns the -0.0 pole into 0.0
+        [1.7e308, 1.7e308, 1e308],  # a cluster mean taken in a larger unit
+        [-1e308, -1.7e308, -1.7e308, -1.7e308],
+        [2.0] * 3 + [1.0] * 2 + [0.0],
+        [1.0] * 10 + [-1.0] * 10,  # np.sum's pairwise order
+    ])
+    def test_extreme_poles_and_weights_match_the_per_cluster_formulas(self, diagonal):
+        basis = core.eigh(core.SymmetricMatrix.from_array(np.diag(diagonal)))
+        x = np.random.default_rng(len(diagonal)).uniform(-1, 1, len(diagonal))
+        for t in (-0.5, 2.0):
+            assert_reference_poles_and_weights(basis, x, t)
+
+    def test_poles_and_weights_match_the_per_cluster_formulas(self):
+        rng = np.random.default_rng(72)
+        for k in range(240):
+            assert_reference_poles_and_weights(*secular_family(rng, k))
+
+
+def assert_reference_poles_and_weights(basis, x, t):
+    """``build_secular``'s active set, poles and weights, byte for byte those
+    of ``oracles.reference_poles_and_weights``."""
+    sys = secular.build_secular(basis, x, t)
+    poles, weights = oracles.reference_poles_and_weights(basis, x)
+    floor = secular.DEFLATE_TOL * float(x @ x)
+    active = [k for k, w in enumerate(weights) if t != 0.0 and w > floor]
+    assert sys.active == tuple(active)
+    assert sys.active_poles.tobytes() == poles[active].tobytes()
+    assert sys.active_weights.tobytes() == weights[active].tobytes()
+
+
 class TestSecularEval:
+    def test_matches_the_reference_evaluator(self):
+        # At the active poles both raise; elsewhere the same bits.
+        rng = np.random.default_rng(73)
+        for k in range(120):
+            sys = secular.build_secular(*secular_family(rng, k))
+            if not sys.active:
+                continue
+            poles = sys.active_poles
+            points = np.concatenate([poles, poles * (1 + 1e-9), rng.uniform(-2, 2, 4)
+                                     * max(1.0, float(np.max(np.abs(poles))))])
+            for lam in points.tolist():
+                if lam in poles:
+                    for evaluate in (secular.secular_eval, oracles.reference_secular_eval):
+                        with pytest.raises(ZeroDivisionError):
+                            evaluate(sys, lam)
+                else:
+                    assert same_float(secular.secular_eval(sys, lam),
+                                      oracles.reference_secular_eval(sys, lam))
+
     def test_t_zero_constant_one(self):
         sys = secular.build_secular(swap_basis(), np.ones(2), 0.0)
         for lam in (-5.0, 0.3, 7.0):

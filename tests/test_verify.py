@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -435,9 +436,15 @@ class TestOnesProjectionOracle:
     in the last bits; everything else is identical."""
 
     def test_records_match_the_reference(self):
-        # The last pair has a double eigenvalue in A only.
-        uneven = [core.SymmetricMatrix.from_array(np.diag(d)) for d in ([2.0, 1, 1], [2.0, 1.5, 1])]
-        for k, A, B in itertools.chain(oracle_pairs(), [("uneven", *uneven)]):
+        # "uneven" has a double eigenvalue in A only; the diagonal pairs have
+        # a simple -0.0 eigenvalue, whose cluster mean is 0.0, and clusters
+        # whose mean is taken in a larger unit.
+        diagonal = [core.SymmetricMatrix.from_array(np.diag(d)) for d in (
+            [2.0, 1, 1], [2.0, 1.5, 1], [1.0, -0.0, -1.0],
+            [1.7e308, 1.7e308, 1.3e308, 1e308, 1e308])]
+        for k, A, B in itertools.chain(
+                oracle_pairs(), [("uneven", *diagonal[:2]), ("-0.0", *diagonal[2:3] * 2),
+                                 ("1e308", *diagonal[3:] * 2)]):
             report = verify.verify_gm(A, B)
             basis_a, basis_b = core.eigh_stack([A, B])
             for got, want in ((report.projections, reference_projections(basis_a, basis_b)),
@@ -447,6 +454,9 @@ class TestOnesProjectionOracle:
                     assert {**g, "distance": None} == {**w, "distance": None}, k
                     if w["distance"] is not None:
                         assert abs(g["distance"] - w["distance"]) <= 1e-15, k
+            # Values to the bit: == cannot tell -0.0 from 0.0.
+            assert [json.dumps(p["value"]) for p in report.projections] == [
+                json.dumps(p["value"]) for p in reference_projections(basis_a, basis_b)], k
 
 
 class TestTheoremMain:
