@@ -204,6 +204,16 @@ def test_non_finite_matrix_exits_2(matrix_file, capsys, entry):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["deck", "squares", "gm-verify"])
+def test_one_by_one_matrix_has_no_deck(matrix_file, capsys, command):
+    a = matrix_file("a.txt", "1\n5\n")
+    code = cli.main([command, a] + ([a] if command == "gm-verify" else []))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: deck requires n >= 2\n"
+
+
 def test_non_finite_vector_exits_2(matrix_file, capsys):
     x = matrix_file("x.txt", "3\n1 inf 0\n")
     code = cli.main(["rank1", matrix_file("a.txt", P3), "--x", x, "--t", "1"])
