@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -125,30 +124,11 @@ def cmd_gm_verify(args) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _parse_t_samples(spec: str):
-    try:
-        count_s, lo_s, hi_s = spec.split(",")
-        count, lo, hi = int(count_s), float(lo_s), float(hi_s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "--t-samples expects count,lo,hi") from None
-    if count < 1:
-        raise argparse.ArgumentTypeError("sample count must be positive")
-    # Uniform in the half-open interval (lo, hi]. Where hi - lo or k * (hi -
-    # lo) overflows, the same formula runs in a unit 2^s larger.
-    def sample(k, s=0):
-        lo_s, hi_s = math.ldexp(lo, -s), math.ldexp(hi, -s)
-        return math.ldexp(lo_s + k * (hi_s - lo_s) / count, s)
-    wide = count.bit_length() + 1
-    return tuple(t if math.isfinite(t := sample(k)) else sample(k, wide)
-                 for k in range(1, count + 1))
-
-
 def cmd_tmain(args) -> int:
     from . import verify
 
     A, B = _read_matrix(args.matrix_a), _read_matrix(args.matrix_b)
-    records = verify.verify_theorem_main(A, B, args.t_samples)
+    records = verify.verify_theorem_main(A, B)
     tol = verify.value_tol(A, B)
     passed = all(r.passes(tol) for r in records)
     payload = {
@@ -200,9 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
             "matrix_a", "matrix_b").add_argument(
         "--multiset-deck", action="store_true",
         help="compare deck cards as an unordered collection")
-    command("tmain", cmd_tmain, "lowest eigenpair of A+tJ vs B+tJ over t samples",
-            "matrix_a", "matrix_b").add_argument(
-        "--t-samples", type=_parse_t_samples, default=None, metavar="COUNT,LO,HI")
+    command("tmain", cmd_tmain,
+            "lowest eigenpair of A+tJ vs B+tJ over shifts derived from the pair",
+            "matrix_a", "matrix_b")
     command("probe-tau", cmd_probe_tau,
             "best coordinate permutation between simple eigenvectors",
             "matrix_a", "matrix_b").add_argument(

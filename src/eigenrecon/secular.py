@@ -375,44 +375,36 @@ def rank1_update(basis: EigenBasis, x, t: float) -> UpdateResult:
 @np.errstate(over="ignore")  # as in secular_roots
 def lowest_update_pairs(basis: EigenBasis, x,
                         ts) -> list[tuple[float, np.ndarray | None]]:
-    """``rank1_update(basis, x, t)``'s ``values[-1]`` and ``vectors[-1]`` per t, bit for bit.
+    """``rank1_update(basis, x, t)``'s ``values[-1]`` and ``vectors[-1]`` per t < 0, bit for bit.
 
-    The active set depends on t only through t != 0, so one projection
-    serves every shift. Only the bracket of each lowest root is solved, all
-    in one ``_open_brackets`` and one ``_bisect_all`` call: in y = s*lambda
-    with s = sign(-t) that is the last bracket for t < 0 and the first for
-    t > 0. Each takes the steps ``secular_roots`` takes for it, with the same
+    The active set does not depend on t, so one projection serves every
+    shift. Only the bracket of each lowest root, below the lowest active
+    pole, is solved, all in one ``_open_brackets`` and one ``_bisect_all``
+    call. Each takes the steps ``secular_roots`` takes for it, with the same
     floating-point operations, so its root is bit-identical, and the first
-    failing shift raises its BracketError. For t > 0 that root lies above
-    the lowest active pole, so a retained value at or below the pole is the
-    lowest and the bracket is skipped. The vector is None
-    when the lowest value is retained (t = 0, or a retained value below the
-    root); on a tie the root wins, as in the stable sort of
-    ``rank1_update``. The root vectors come from one ``_root_vectors`` call.
+    failing shift raises its BracketError. The vector is None when a
+    retained value lies below the root; on a tie the root wins, as in the
+    stable sort of ``rank1_update``. The root vectors come from one
+    ``_root_vectors`` call. A shift that is not negative and finite raises
+    ValueError.
     """
     ts = np.array(ts, dtype=float)
-    if not np.all(np.isfinite(ts)):
-        raise ValueError(f"t must be finite, got {ts[~np.isfinite(ts)][0]}")
-    nonzero = ts[ts != 0.0]
-    sys = build_secular(basis, x, nonzero[0] if nonzero.size else 0.0)
+    bad = ~((ts < 0.0) & np.isfinite(ts))
+    if bad.any():
+        raise ValueError(f"t must be negative and finite, got {ts[bad][0]}")
+    sys = build_secular(basis, x, ts[0])
     spec = basis.spectrum
     retained = _retained(spec, sys)
     # Ascending indices of a descending spectrum: the last is the lowest, and
     # the last of equal values, as the stable sort orders them.
     low = float(spec.values[retained[-1]]) if retained else math.inf
-    pairs = [(float(spec.values[-1]) if t == 0.0 else low, None) for t in ts]
+    pairs = [(low, None)] * len(ts)
     if not sys.active:
         return pairs
-    lowest = np.sort(sys.active_poles)[:2]  # the lowest active pole, then the next
-    solve = np.flatnonzero((ts < 0.0) | ((ts > 0.0) & (low > lowest[0])))
-    t = ts[solve]
-    s = np.where(t < 0.0, 1.0, -1.0)
-    # In y the bracket lies below s*lowest[0]; for t > 0 it lies above
-    # -lowest[1] when there is a second active pole.
-    second = -lowest[1] if len(lowest) > 1 else -np.inf
+    k = len(ts)
     f, unit, lo, hi, f_lo, root, errors = _open_brackets(
-        sys, t, s * lowest[0], np.where(s > 0.0, -np.inf, second),
-        np.where(s > 0.0, len(sys.active) - 1, 0))
+        sys, ts, np.full(k, np.min(sys.active_poles)), np.full(k, -np.inf),
+        np.full(k, len(sys.active) - 1))
     rows = np.flatnonzero(np.isnan(root))
     rows = rows[~np.isin(rows, list(errors))]
     root[rows], converged = _bisect_all(f, rows, lo[rows], hi[rows], f_lo[rows],
@@ -421,12 +413,11 @@ def lowest_update_pairs(basis: EigenBasis, x,
         errors[b] = "bisection failed to converge within iteration cap"
     if errors:
         raise BracketError(errors[min(errors)])
-    mu = s * root
-    wins = np.flatnonzero(~(low < mu))
+    wins = np.flatnonzero(~(low < root))
     if wins.size:
-        vectors = _root_vectors(basis, sys, mu[wins])
+        vectors = _root_vectors(basis, sys, root[wins])
         for col, b in enumerate(wins):
-            pairs[solve[b]] = (float(mu[b]), vectors[:, col].copy())
+            pairs[b] = (float(root[b]), vectors[:, col].copy())
     return pairs
 
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import Diagnostic, SpectralDeck, Spectrum, SymmetricMatrix, deck
+from .core import FLOAT_MAX, Diagnostic, SpectralDeck, Spectrum, SymmetricMatrix, deck
 
 CLAMP_TOL = 1e-10
 ROW_SUM_TOL = 1e-8
@@ -47,6 +47,11 @@ def reconstruct_square(spec: Spectrum, cards: np.ndarray, i: int) -> np.ndarray:
 def _square_columns(values: np.ndarray, cards: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The (len(cols), n) array whose row j is column cols[j] of the table,
     all in one pass over a (len(cols), n, n - 1) array of factors."""
+    if float(values[0]) - float(values[-1]) > FLOAT_MAX:
+        # Each square is a ratio of two products of n - 1 differences, so
+        # halving values and cards together keeps it and makes every
+        # difference finite.
+        values, cards = values / 2, cards / 2
     lam = values[cols]
     q = np.arange(len(values) - 1)
     others = values[q + (q >= cols[:, None])]  # row j: the values other than lam[j]

@@ -99,38 +99,40 @@ class TheoremMainSample:
         return {**asdict(self), "secular_angle": angle, "conclusive": self.conclusive}
 
 
-def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix,
-                        t_samples=None) -> list[TheoremMainSample]:
-    """Lowest eigenpair of A + t*J and B + t*J across sampled shifts.
+def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix) -> list[TheoremMainSample]:
+    """Lowest eigenpair of A + t*J and B + t*J across shifts derived from the pair.
 
-    Each sample also cross-checks the direct eigendecomposition of A + t*J
-    against the secular equation on the basis of A. ``lowest_update_pairs``
-    gives the ``values[-1]`` and ``vectors[-1]`` of
-    ``rank1_update(basis of A, 1, t)`` bit for bit, solving only the bracket
-    of each lowest root, so only those brackets can raise BracketError.
-    With t = 0, or a retained eigenvalue of A below the root, there is no
-    secular vector and ``secular_angle`` is NaN. A and every A + t*J and
-    B + t*J are solved in one stack. Given shifts are absolute; by default
-    DEFAULT_T_SAMPLES in the pair's unit (see ``value_tol``) are used.
+    The shifts are DEFAULT_T_SAMPLES in the pair's unit (see ``value_tol``),
+    then 2*t* and t*/2 for each of A and B whose lowest cluster is not main,
+    t* from ``_crossover``: one shift on each side of the crossover, where
+    the lowest eigenpair changes hands. Every shift is negative. Each sample
+    also cross-checks the direct eigendecomposition of A + t*J against the
+    secular equation on the basis of A. ``lowest_update_pairs`` gives the
+    ``values[-1]`` and ``vectors[-1]`` of ``rank1_update(basis of A, 1, t)``
+    bit for bit, solving only the bracket of each lowest root, so only those
+    brackets can raise BracketError. Where a retained eigenvalue of A is
+    below the root there is no secular vector and ``secular_angle`` is NaN.
+    A and B are solved in one stack, then every A + t*J and B + t*J in
+    another.
     """
     if A.n != B.n:
         raise ValueError("dimension mismatch")
-    if t_samples is None:
-        t_samples = np.ldexp(DEFAULT_T_SAMPLES, _unit_exponent(A, B))
-    elif not len(t_samples):
-        raise ValueError("t_samples must be nonempty")
-    elif not np.all(np.isfinite(t_samples)):
-        raise ValueError("t_samples must be finite")
-    ts = np.asarray(t_samples, dtype=float)
+    e = _unit_exponent(A, B)
+    basis_a, basis_b = eigh_stack([A, B])
+    ts = [*DEFAULT_T_SAMPLES]
+    for basis in (basis_a, basis_b):
+        t_star = _crossover(basis.spectrum, _ones_projection(basis)[2], e)
+        if t_star is not None:
+            ts += [2.0 * t_star, t_star / 2.0]
+    ts = np.ldexp(ts, e)
     with np.errstate(over="ignore"):  # an entry past the float range is inf
         m = np.stack([A.entries, B.entries]) + ts[:, None, None, None]
     bad = np.argwhere(~np.all(np.isfinite(m), axis=(2, 3)))
     if len(bad):
         k, j = bad[0]
         raise ValueError(f"{'AB'[j]} + t*J is not finite at t = {float(ts[k])!r}")
-    basis_a, *solved = eigh_stack(
-        [A, *map(SymmetricMatrix, symmetrized(m.reshape(-1, A.n, A.n)))])
-    pairs = lowest_update_pairs(basis_a, np.ones(A.n), ts.tolist())
+    solved = eigh_stack([*map(SymmetricMatrix, symmetrized(m.reshape(-1, A.n, A.n)))])
+    pairs = lowest_update_pairs(basis_a, np.ones(A.n), ts)
     records = []
     for t, shifted_a, shifted_b, (sec_low, sec_vec) in zip(
             ts.tolist(), solved[0::2], solved[1::2], pairs):
@@ -153,15 +155,14 @@ def _crossover(spec: Spectrum, w: np.ndarray, e: int) -> float | None:
     k (w_k = ||P_k 1||^2 above the secular deflation floor), each at its top
     value and in the unit 2^e, so that nothing overflows. If A's lowest
     cluster is not main, its value is the lowest of A + t*J for t in (t*, 0).
-    None if it is main or no default shift lies in (t*, 0).
+    None if it is main.
     """
     main = w > DEFLATE_TOL * len(spec)
     if main[-1]:
         return None
     lam = np.ldexp(spec.values, -e)
     starts = [c[0] for c in spec.clusters]
-    t_star = -1.0 / float(np.sum(w[main] / (lam[starts][main] - lam[-1])))
-    return t_star if t_star < max(DEFAULT_T_SAMPLES) else None
+    return -1.0 / float(np.sum(w[main] / (lam[starts][main] - lam[-1])))
 
 
 @dataclass(frozen=True)
@@ -224,8 +225,8 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, *,
     pass ``multiset_deck=True`` to instead match cards as an unordered
     collection, the convention of classical graph reconstruction. Spectra
     and cards must agree within ``value_tol``. One ``_jacobi`` call solves
-    A, B and their cards. Theorem-main is decided in closed form over the
-    default shifts of ``verify_theorem_main``, and no A + t*J is formed.
+    A, B and their cards. Theorem-main is decided in closed form over every
+    shift t < 0, and no A + t*J is formed.
     """
     if A.n != B.n:
         raise ValueError("dimension mismatch")

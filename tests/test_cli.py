@@ -108,11 +108,28 @@ def test_gm_verify_mismatch_fails(matrix_file, capsys):
 
 
 def test_tmain(matrix_file, capsys):
+    # The lowest cluster of P3 is main: the 16 default shifts alone.
     a = matrix_file("a.txt", P3)
-    code, out = run(capsys, "tmain", a, a, "--t-samples", "4,-1,-0.0625")
+    code, out = run(capsys, "tmain", a, a)
     assert code == 0
     payload = json.loads(out)
-    assert len(payload["samples"]) == 4
+    assert len(payload["samples"]) == 16
+
+
+def test_tmain_fails_a_switched_triangle(matrix_file, capsys):
+    # K3 and D K3 D, D = diag(-1, 1, 1), share spectra and decks, but the
+    # lowest eigenvalue -1 of K3 is double and not main: t* = -1 - 2^-52,
+    # so every default shift lies in (t*, 0) and is inconclusive. Only the
+    # derived shift 2 t* tells the pair apart.
+    a = matrix_file("a.txt", "3\n0 1 1\n1 0 1\n1 1 0\n")
+    b = matrix_file("b.txt", "3\n0 -1 -1\n-1 0 1\n-1 1 0\n")
+    code, out = run(capsys, "tmain", a, b)
+    payload = strict_json(out)
+    assert code == 1
+    assert payload["pass"] is False and payload["conclusive"] == 1
+    [failed] = [r for r in payload["samples"] if r["conclusive"]]
+    assert failed["t"] == 2 * (-1 - 2.0 ** -52)
+    assert failed["angle"] == pytest.approx(0.111, abs=1e-3)
 
 
 def test_probe_tau(matrix_file, capsys):
@@ -154,12 +171,17 @@ def test_probe_tau_miss_is_strict_json(matrix_file, capsys):
 
 
 def test_tmain_without_secular_vector_is_strict_json(matrix_file, capsys):
-    # At t = 0 there is no secular vector, so no secular angle.
-    a = matrix_file("a.txt", P3)
-    code, out = run(capsys, "tmain", a, a, "--t-samples", "1,-1,0")
+    # The lowest eigenvector of P4 is orthogonal to 1: for t in (t*, 0) its
+    # eigenvalue is retained and lowest, and there is no secular vector.
+    a = matrix_file("a.txt", "4\n0 1 0 0\n1 0 1 0\n0 1 0 1\n0 0 1 0\n")
+    code, out = run(capsys, "tmain", a, a)
     samples = strict_json(out)["samples"]
     assert code == 0
-    assert [(r["t"], r["secular_angle"]) for r in samples] == [(0.0, None)]
+    t_star = min(r["t"] for r in samples) / 2
+    assert [r["secular_angle"] is None for r in samples] == [
+        r["t"] > t_star for r in samples]
+    # t* = -0.7236: 12 of the 16 default shifts, and t*/2 from each matrix.
+    assert sum(r["secular_angle"] is None for r in samples) == 14
 
 
 def test_unparseable_exits_2(matrix_file, capsys):
@@ -230,8 +252,6 @@ def test_non_finite_vector_exits_2(matrix_file, capsys):
                  "t must be finite", id="rank1-t-inf"),
     pytest.param(["det-check", "{a}", "--x", "ones", "--t", "nan"],
                  "t must be finite", id="det-check-t-nan"),
-    pytest.param(["tmain", "{a}", "{a}", "--t-samples", "2,nan,0"],
-                 "t_samples must be finite", id="tmain-t-samples-nan"),
     pytest.param(["probe-tau", "{a}", "{a}", "--index", "9"],
                  "out of range", id="probe-tau-index-9"),
     pytest.param(["probe-tau", "{a}", "{a}", "--index", "-1"],
@@ -248,29 +268,14 @@ def test_hostile_flag_exits_2(matrix_file, capsys, argv, message):
 
 
 def test_tmain_shift_past_float_max_is_named(matrix_file, capsys):
-    # The matrix is finite; A + t*J is not. The error used to blame the input.
-    big = matrix_file("big.txt", "2\n1e308 0\n0 1e308\n")
-    code = cli.main(["tmain", big, big, "--t-samples", "1,1e308,1e308"])
+    # The matrix is finite; A + t*J at the first default shift is not. The
+    # error used to blame the input.
+    big = matrix_file("big.txt", "2\n-1.7e308 0\n0 -1.7e308\n")
+    code = cli.main(["tmain", big, big])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "error: A + t*J is not finite at t = 1e+308\n"
-
-
-def test_t_samples_span_past_float_max():
-    # hi - lo overflowed, so every sample was inf or NaN.
-    assert cli._parse_t_samples("2,-1e308,1e308") == (0.0, 1e308)
-    assert cli._parse_t_samples("4,-1.5e308,1.5e308") == (-7.5e307, 0.0, 7.5e307, 1.5e308)
-
-
-def test_finite_t_samples_keep_their_bits():
-    rng = np.random.default_rng(3)
-    for count in (1, 2, 3, 7, 16):
-        for lo, hi in [(-1.0, -0.0625), (0.1, 0.7), (-3e-300, 2e-300)] + \
-                [tuple((rng.normal(size=2) * 10.0 ** rng.integers(-20, 20)).tolist()) for _ in range(5)]:
-            want = tuple(lo + k * (hi - lo) / count for k in range(1, count + 1))
-            got = cli._parse_t_samples(f"{count},{lo!r},{hi!r}")
-            assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert captured.err == "error: A + t*J is not finite at t = -1.692359552741477e+308\n"
 
 
 def test_squares_warnings_on_stderr(matrix_file, capsys, monkeypatch):
@@ -348,7 +353,7 @@ VALID_ARGV = {
     "rank1": ["rank1", "{a}", "--x", "ones", "--t", "-0.5"],
     "det-check": ["det-check", "{a}", "--x", "ones", "--t", "-0.4"],
     "gm-verify": ["gm-verify", "{a}", "{a}"],
-    "tmain": ["tmain", "{a}", "{a}", "--t-samples", "2,-1,-0.5"],
+    "tmain": ["tmain", "{a}", "{a}"],
     "probe-tau": ["probe-tau", "{a}", "{a}"],
 }
 SUBCOMMANDS = next(action.choices for action in cli.build_parser()._actions
@@ -480,11 +485,24 @@ def test_subnormal_pair_verifies_against_itself(matrix_file, capsys, subcommand)
     assert json.loads(out)["pass"] is True
 
 
+SPREAD_PAST_FLOAT_MAX = core.format_matrix(core.SymmetricMatrix.from_array(
+    np.diag([1.7e308, 1.7e308, 1e308, -1.7e308, -1.7e308])))
 EXTREME_SCALES = [
     pytest.param("2\n1e308 0\n0 1e308\n", id="1e308-I2"),
     pytest.param("3\n1.7e308 0 0\n0 1.7e308 0\n0 0 1.7e308\n", id="1.7e308-I3"),
     pytest.param("3\n1e-310 0 0\n0 1e-310 0\n0 0 1e-310\n", id="1e-310-I3"),
+    pytest.param(SPREAD_PAST_FLOAT_MAX, id="spread-past-float-max"),
 ]
+
+
+def test_squares_spread_past_float_max(matrix_file, capsys):
+    # lambda_1 - lambda_5 = 3.4e308 overflowed every factor: an all-null
+    # table with a column_sum warning (exit 1), and RuntimeWarnings.
+    code, out = run(capsys, "squares", matrix_file("a.txt", SPREAD_PAST_FLOAT_MAX))
+    assert code == 0
+    payload = strict_json(out)
+    assert payload["simple"] == [2] and payload["warnings"] == []
+    assert [row[2] for row in payload["table"]] == [0.0, 0.0, 1.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("text", EXTREME_SCALES)

@@ -188,14 +188,31 @@ def test_verify_gm_projects_ones_once_per_basis(monkeypatch):
             core.eigh(M).spectrum.values.tobytes() for M in (A, B)]
 
 
+def path4():
+    # Its lowest eigenvector is orthogonal to 1: a non-main lowest cluster,
+    # so theorem-main adds the shifts 2 t* and t*/2 of P4.
+    return core.SymmetricMatrix.from_array(np.eye(4, k=1) + np.eye(4, k=-1))
+
+
+def test_theorem_main_solves_each_matrix_once(solved):
+    # A and B in one _jacobi call, which gives t*, then every A + tJ and
+    # B + tJ in another: 16 default shifts and 2 derived from P4.
+    A, B = path4(), random_symmetric(10, 4)
+    assert len(verify.verify_theorem_main(A, B)) == 18
+    assert solved(A.entries) == solved(B.entries) == 1
+    assert [len(stack) for stack in solved.calls] == [2, 2 * 18]
+
+
 def test_theorem_main_solves_one_bracket_per_nonzero_shift(monkeypatch, opened):
-    # Only the bracket of the lowest root of A + tJ: the last in y for t < 0,
-    # the first for t > 0, none for t = 0, all opened in one lockstep call;
-    # rank1_update is never called.
+    # Only the bracket of the lowest root of A + tJ, the last in y, for
+    # every shift, all negative, in one lockstep call; rank1_update is
+    # never called.
     def forbidden(*args, **kwargs):
         raise AssertionError("theorem-main called rank1_update")
 
     monkeypatch.setattr(secular, "rank1_update", forbidden)
-    A, B = random_symmetric(10, 5), random_symmetric(11, 5)
-    verify.verify_theorem_main(A, B, (-0.75, 0.0, 0.5, -0.25))
-    assert opened == [((-0.75, 0.5, -0.25), (4, 0, 4))]
+    A, B = path4(), random_symmetric(11, 4)
+    samples = verify.verify_theorem_main(A, B)
+    [(ts, js)] = opened
+    assert ts == tuple(r.t for r in samples) and max(ts) < 0.0
+    assert js == (1,) * 18  # two clusters of P4 are main

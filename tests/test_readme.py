@@ -1,13 +1,14 @@
 """The README's library quick start runs as written, the package exports
-nothing beyond it, the matrix type and the errors, and the command line
-keeps its listed options."""
+nothing beyond it, the matrix type and the errors, and the command line and
+the checks keep their listed options and parameters."""
 
 import argparse
+import inspect
 import re
 from pathlib import Path
 
 import eigenrecon
-from eigenrecon import cli
+from eigenrecon import cli, secular, squares, verify
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -46,6 +47,22 @@ def test_cli_surface_is_pinned():
         "rank1": ["matrix", "--x", "--t"],
         "det-check": ["matrix", "--x", "--t"],
         "gm-verify": ["matrix_a", "matrix_b", "--multiset-deck"],
-        "tmain": ["matrix_a", "matrix_b", "--t-samples"],
+        "tmain": ["matrix_a", "matrix_b"],
         "probe-tau": ["matrix_a", "matrix_b", "--index"],
+    }
+
+
+def test_check_signatures_are_pinned():
+    # The library face of the same rule: a tolerance or sampling parameter
+    # that comes back must change this list.
+    checks = (verify.verify_gm, verify.verify_theorem_main,
+              verify.probe_permutation_conjecture, secular.verify_det_identity,
+              squares.compare_squares, secular.rank1_update)
+    assert {f.__name__: list(inspect.signature(f).parameters) for f in checks} == {
+        "verify_gm": ["A", "B", "multiset_deck"],
+        "verify_theorem_main": ["A", "B"],
+        "probe_permutation_conjecture": ["A", "B", "i"],
+        "verify_det_identity": ["A", "x", "t"],
+        "compare_squares": ["table_a", "table_b"],
+        "rank1_update": ["basis", "x", "t"],
     }

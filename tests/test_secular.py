@@ -448,17 +448,10 @@ class TestLowestUpdatePair:
     """The theorem-main path: one bracket per shift, bit for bit rank1_update's lowest pair."""
 
     @pytest.mark.parametrize("scale", [4.0 ** -20, 1.0, 4.0 ** 20])
-    def test_matches_rank1_update(self, scale, monkeypatch):
-        solved = []
-        original = secular._open_brackets
-
-        def counting_open_brackets(sys, t, *args):
-            solved.extend(t / scale)
-            return original(sys, t, *args)
-
+    def test_matches_rank1_update(self, scale):
         rng = np.random.default_rng(70)
         kinds = {"root": 0, "retained": 0}
-        shifts = (-0.75, -1 / 16, 0.0, 0.5)
+        shifts = (-0.75, -1 / 16)
         for k in range(40):
             n = int(rng.integers(1, 8))
             kind = ("uniform", "random", "cycle", "complete")[k % 4]
@@ -466,9 +459,7 @@ class TestLowestUpdatePair:
                  else zero_one_graph(rng, n, kind))
             basis = core.eigh(core.SymmetricMatrix.from_array(scale * (m + m.T) / 2))
             x = np.ones(n) if k % 8 < 4 else rng.uniform(-1, 1, n)
-            with monkeypatch.context() as patch:
-                patch.setattr(secular, "_open_brackets", counting_open_brackets)
-                pairs = secular.lowest_update_pairs(basis, x, [t * scale for t in shifts])
+            pairs = secular.lowest_update_pairs(basis, x, [t * scale for t in shifts])
             for t, (value, vector) in zip(shifts, pairs, strict=True):
                 full = secular.rank1_update(basis, x, t * scale)
                 assert same_float(value, full.values[-1])
@@ -476,15 +467,10 @@ class TestLowestUpdatePair:
                     assert vector is None
                 else:
                     assert vector.tobytes() == full.vectors[-1].tobytes()
-                if t != 0.0:
-                    kinds[full.origins[-1][0]] += 1
+                kinds[full.origins[-1][0]] += 1
         # Both outcomes occur: deflated and repeated lowest eigenvalues of the
         # graphs are retained below the root.
         assert min(kinds.values()) >= 20
-        # Every t < 0 bracket is solved, no t = 0 one, and for t = 1/2 only
-        # the 21 of 40 where no retained value sits at or below the lowest
-        # active pole: in the other 19 the root could not be the lowest.
-        assert sorted(solved) == [-0.75] * 40 + [-1 / 16] * 40 + [0.5] * 21
 
     def test_brackets_match_the_scalar_solver(self):
         # Every bracket takes the reference search's steps: the same root or
@@ -493,6 +479,7 @@ class TestLowestUpdatePair:
         # where a batch raises the error of its first failing shift.
         rng = np.random.default_rng(71)
         failed = 0
+        batch_failed = []
         for k in range(504):
             basis, x, t = secular_family(rng, k)
             sys = secular.build_secular(basis, x, t)
@@ -512,51 +499,46 @@ class TestLowestUpdatePair:
             def lowest(ts):
                 return outcome(lambda: secular.lowest_update_pairs(basis, x, ts)[0][0])
 
-            want = found[-1] if s > 0.0 else found[0]
-            retained = basis.spectrum.values[secular._retained(basis.spectrum, sys)]
-            low = float(np.min(retained, initial=math.inf))
-            unsolved = t > 0.0 and low <= np.min(sys.active_poles)
-            if unsolved or (not isinstance(want, str) and low < np.frombuffer(want)[0]):
-                want = np.float64(low).tobytes()
-            assert lowest([t]) == want
+            if t < 0.0:
+                want = found[-1]
+                retained = basis.spectrum.values[secular._retained(basis.spectrum, sys)]
+                low = float(np.min(retained, initial=math.inf))
+                if not isinstance(want, str) and low < np.frombuffer(want)[0]:
+                    want = np.float64(low).tobytes()
+                assert lowest([t]) == want
             if k % 6 == 3:
-                shifts = (0.5, 1e-6, -1e-6)
+                # At 1e6 scale the small shifts leave some brackets unopened.
+                shifts = (-0.5, -1e-7, -1e-9)
                 alone = [lowest([u]) for u in shifts]
                 first = next((r for r in alone if isinstance(r, str)), None)
+                batch_failed.append(first is not None)
                 assert lowest(shifts) == (first or alone[0])
         assert failed >= 5
+        assert sum(batch_failed) >= 20  # 24 of 84 at seed 71
 
-    def test_t_zero_is_retained(self):
-        basis = swap_basis()
-        value = basis.spectrum.values[-1]
-        assert secular.lowest_update_pairs(basis, np.ones(2), [0.0]) == [(value, None)]
+    def test_shifts_must_be_negative_and_finite(self):
+        for t in (0.0, 0.5, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="t must be negative and finite"):
+                secular.lowest_update_pairs(swap_basis(), np.ones(2), [-0.5, t])
 
     def test_tie_goes_to_the_root(self):
         # A deflated eigenvalue placed exactly on the lowest root of the
-        # undeflated update: the stable sort of rank1_update puts the root last.
+        # undeflated update: the stable sort of rank1_update puts the root
+        # last. The walk to the root's bracket steps by the spread, which the
+        # placed value sets, so it is placed again until it stays put.
         x = np.array([1.0, 1.0, 0.0])
         two = core.eigh(core.SymmetricMatrix.from_array(np.diag([1.0, -1.0])))
-        [(mu, _)] = secular.lowest_update_pairs(two, x[:2], [0.5])
-        basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([1.0, -1.0, mu])))
-        full = secular.rank1_update(basis, x, 0.5)
+        [(mu, _)] = secular.lowest_update_pairs(two, x[:2], [-0.5])
+        for _ in range(10):
+            basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([1.0, -1.0, mu])))
+            [(value, vector)] = secular.lowest_update_pairs(basis, x, [-0.5])
+            if value == mu:
+                break
+            mu = value
+        full = secular.rank1_update(basis, x, -0.5)
         assert sorted(full.values[-2:]) == [mu, mu]
         assert full.origins[-1][0] == "root"
-        [(value, vector)] = secular.lowest_update_pairs(basis, x, [0.5])
-        assert value == mu
         assert vector.tobytes() == full.vectors[-1].tobytes()
-
-    def test_other_brackets_are_not_solved(self):
-        # rank1_update fails on the root 1e308 * (1 + sqrt 2), past the float
-        # range; the lowest root for t > 0 lies in the other bracket, between
-        # the poles, at 1e308 * (1 - sqrt 2).
-        basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([1e308, -1e308])))
-        with pytest.raises(secular.BracketError, match="not finite"):
-            secular.rank1_update(basis, np.ones(2), 1e308)
-        [(value, vector)] = secular.lowest_update_pairs(basis, np.ones(2), [1e308])
-        assert value == pytest.approx(1e308 * (1 - math.sqrt(2)), rel=1e-13)
-        # The eigenvector of [[2, 1], [1, 0]] for 1 - sqrt 2.
-        angle = 3 * math.pi / 8
-        np.testing.assert_allclose(vector, [-math.cos(angle), math.sin(angle)], atol=1e-12)
 
 
 class TestDetIdentity:
