@@ -8,13 +8,14 @@ whose cluster keeps multiplicity - 1 copies) together with the roots of
 
 over the active clusters k, where w_k aggregates q_i^2 inside the cluster.
 P_t is strictly monotone between consecutive poles, which gives guaranteed
-bisection brackets and the interlacing ordering of roots and poles.
+bisection brackets and the interlacing ordering of roots and poles. All
+brackets are bisected together; t > 0 is solved by reflection.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,30 +104,18 @@ def secular_eval(sys: SecularSystem, lam: float) -> float:
     return float(1.0 + (sys.t * sys.active_weights / (poles - lam)).sum())
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float, unit: float) -> float:
-    # f_lo carries the sign of f at lo; f is monotone on (lo, hi).
-    for _ in range(MAX_BISECT):
-        mid = 0.5 * lo + 0.5 * hi  # halves first: lo + hi can overflow
-        if hi - lo <= ROOT_WIDTH_TOL * max(unit, abs(mid)) or mid in (lo, hi):
-            return mid
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    raise BracketError("bisection failed to converge within iteration cap")
+def _bisect_all(f, rows, lo, hi, unit) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect the brackets ``rows`` in lockstep: roots and a converged mask.
 
-
-def _bisect_all(f, rows, lo, hi, f_lo, unit) -> tuple[np.ndarray, np.ndarray]:
-    """``_bisect`` for the brackets ``rows`` in lockstep: roots and a converged mask."""
+    f is monotone on each (lo, hi) and positive at lo, so a midpoint where
+    f > 0 becomes the new lo.
+    """
     root = np.full(len(rows), np.nan)
-    live = np.arange(len(rows))  # lo, hi, f_lo and unit follow it as it shrinks
+    live = np.arange(len(rows))  # lo, hi and unit follow it as it shrinks
     for _ in range(MAX_BISECT):
         if not live.size:
             break
-        mid = 0.5 * lo + 0.5 * hi
+        mid = 0.5 * lo + 0.5 * hi  # halves first: lo + hi can overflow
         done = ((hi - lo <= ROOT_WIDTH_TOL * np.maximum(unit, np.abs(mid)))
                 | (mid == lo) | (mid == hi))
         f_mid = f(rows[live[~done]], mid[~done])
@@ -134,9 +123,9 @@ def _bisect_all(f, rows, lo, hi, f_lo, unit) -> tuple[np.ndarray, np.ndarray]:
         if done.any():
             root[live[done]] = mid[done]
             keep = ~done
-            live, lo, hi, f_lo, unit, mid = (a[keep] for a in (live, lo, hi, f_lo, unit, mid))
+            live, lo, hi, unit, mid = (a[keep] for a in (live, lo, hi, unit, mid))
             f_mid = f_mid[f_mid != 0.0]
-        up = (f_mid > 0.0) == (f_lo > 0.0)
+        up = f_mid > 0.0
         lo = np.where(up, mid, lo)
         hi = np.where(up, hi, mid)
     converged = np.ones(len(rows), dtype=bool)
@@ -176,28 +165,27 @@ def _open_at_poles(f, rows, pole, side: int, limit,
 
 def _open_brackets(sys: SecularSystem, t: np.ndarray, upper: np.ndarray,
                    lower: np.ndarray, j: np.ndarray):
-    """Open one bracket per shift t[b], all in lockstep, in y.
+    """Open one bracket per shift t[b] < 0, all in lockstep.
 
     The shifts share the active poles and weights of ``sys``, whose own t is
-    not read. Bracket b holds root j[b] of P_t[b] in y = s*lambda with
-    s = sign(-t[b]): it lies below the pole upper[b] and above the pole
-    lower[b], or, where lower[b] is -inf, below upper[b], the lowest pole.
-    There the search walks down from the pole in steps of cap, the reach of
-    the roots, and stops at -FLOAT_MAX: a root below that is not finite.
-    Cap and unit are those of each shift.
+    not read. Bracket b holds root j[b] of P_t[b], which lies below the pole
+    upper[b] and above the pole lower[b], or, where lower[b] is -inf, below
+    upper[b], the lowest pole. There the search walks down from the pole in
+    steps of cap, the reach of the roots, and stops at -FLOAT_MAX: a root
+    below that is not finite. Cap and unit are those of each shift.
 
-    Returns f (P_t in y, one row per bracket), the unit, the ends lo and hi
-    with f at lo, the root of each bracket where f vanishes at an end (NaN
-    elsewhere), and the BracketError message of each bracket that failed.
+    Returns f (P_t, one row per bracket), the unit, the ends lo and hi, the
+    root of each bracket where f vanishes at an end (NaN elsewhere), and the
+    BracketError message of each bracket that failed. f is positive at every
+    lower end that opened.
     """
-    s = np.where(t < 0.0, 1.0, -1.0)
     cap = np.abs(t) * float(np.sum(sys.active_weights)) + sys.lambdas.spread
     unit = np.minimum(1.0, cap)
     tw = t[:, None] * sys.active_weights
 
-    def f(rows, y):
-        # secular_eval at lambda = s*y, one row per bracket.
-        lam = (s[rows] * y)[:, None]
+    def f(rows, lam):
+        # secular_eval at each lam, one row per bracket.
+        lam = lam[:, None]
         at_pole = sys.active_poles == lam
         if at_pole.any():
             raise ZeroDivisionError(
@@ -230,52 +218,68 @@ def _open_brackets(sys: SecularSystem, t: np.ndarray, upper: np.ndarray,
     root = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, np.nan))
     for b in np.flatnonzero(np.isnan(root) & ((f_lo > 0.0) == (f_hi > 0.0))):
         errors.setdefault(b, f"no sign change on bracket for root {j[b]} in y")
-    return f, unit, lo, hi, f_lo, root, errors
+    return f, unit, lo, hi, root, errors
 
 
 # Next to a pole a term of P_t can pass the float range (a zero matrix at
 # 1e300, say, where the offsets stay absolute); the inf keeps the sign that
 # every bracket decision reads.
 @np.errstate(over="ignore")
+def _solve_brackets(sys: SecularSystem, t: np.ndarray, upper: np.ndarray,
+                    lower: np.ndarray, j: np.ndarray, f=None) -> np.ndarray:
+    """The root of every bracket of ``_open_brackets``, or BracketError.
+
+    Brackets with no root at an end, up to the first that failed to open,
+    are bisected together in one ``_bisect_all`` call through f(rows, lam),
+    by default the opener's evaluator. The lowest failing bracket raises its
+    BracketError.
+    """
+    f_open, unit, lo, hi, root, errors = _open_brackets(sys, t, upper, lower, j)
+    rows = np.flatnonzero(np.isnan(root))
+    rows = rows[rows < min(errors, default=len(root))]  # later roots go unread
+    root[rows], converged = _bisect_all(f or f_open, rows, lo[rows], hi[rows],
+                                        unit[rows])
+    for b in rows[~converged]:
+        errors[b] = "bisection failed to converge within iteration cap"
+    if errors:
+        raise BracketError(errors[min(errors)])
+    return root
+
+
 def secular_roots(sys: SecularSystem) -> np.ndarray:
     """All roots of P_t over the active poles, sorted descending.
 
     For t < 0 the roots sit strictly below their poles (one per gap plus one
-    below the lowest active pole); for t > 0 strictly above. Both cases run
-    in the coordinate y = s*lambda with s = sign(-t): there P_t has poles
-    s*lambda_k and a negative scale, so every root lies below its pole.
-    Every bracket is opened in one ``_open_brackets`` call, and each root is
-    then bisected on its sign-change bracket, in root order, so
-    monotonicity of P_t on the bracket guarantees uniqueness. Negation is
-    exact in IEEE arithmetic, so the t > 0 brackets, midpoints and
-    evaluations are the exact mirror images of a direct search above the
-    poles. Widths and offsets are relative to max(|y|, min(1, cap)), with
-    ``cap`` the reach of the roots, so they scale with the system below unit
-    scale. The root below the lowest pole is searched for down to the float
-    maximum and no further. The first failing root raises BracketError,
-    whose message names poles and roots (counted descending) in y.
+    below the lowest active pole); for t > 0 strictly above. t > 0 is solved
+    by reflection, as -A with -t, so every search runs below the poles in
+    y = sign(-t)*lambda. Negation is exact in IEEE arithmetic, so its
+    brackets, midpoints and evaluations mirror a direct search above the
+    poles exactly. Every bracket is opened and bisected in one
+    ``_solve_brackets`` call, each step evaluating through ``secular_eval``;
+    P_t is monotone on each bracket, so its root is unique. Widths and
+    offsets are relative to max(|y|, min(1, cap)), with ``cap`` the reach of
+    the roots, so they scale with the system below unit scale. The root
+    below the lowest pole is searched for down to the float maximum and no
+    further. The first failing root raises BracketError, whose message names
+    poles and roots (counted descending) in y.
     """
     if sys.t == 0.0:
         raise ValueError("t = 0 has no secular roots")
     if not sys.active:
         raise ValueError("active set is empty, nothing to solve")
-    s = 1.0 if sys.t < 0.0 else -1.0
-    poles = np.sort(s * sys.active_poles)[::-1]
+    reflect = sys.t > 0.0
+    if reflect:
+        sys = replace(sys, t=-sys.t, active_poles=-sys.active_poles)
+    poles = np.sort(sys.active_poles)[::-1]
     k = len(poles)
-    _, unit, lo, hi, f_lo, roots, errors = _open_brackets(
-        sys, np.full(k, sys.t), poles, np.append(poles[1:], -np.inf), np.arange(k))
 
-    def f(y: float) -> float:
-        return secular_eval(sys, s * y)
+    def f(rows, lam):
+        # Python floats: the same IEEE double arithmetic as numpy scalars, faster.
+        return np.array([secular_eval(sys, v) for v in lam.tolist()])
 
-    # Python floats: the same IEEE double arithmetic as numpy scalars, faster.
-    brackets = zip(lo.tolist(), hi.tolist(), f_lo.tolist(), unit.tolist())
-    for j, bracket in enumerate(brackets):
-        if j in errors:
-            raise BracketError(errors[j])
-        if np.isnan(roots[j]):
-            roots[j] = _bisect(f, *bracket)
-    return s * (roots[::-1] if s < 0.0 else roots)
+    roots = _solve_brackets(sys, np.full(k, sys.t), poles,
+                            np.append(poles[1:], -np.inf), np.arange(k), f)
+    return -roots[::-1] if reflect else roots
 
 
 @dataclass(frozen=True)
@@ -372,21 +376,20 @@ def rank1_update(basis: EigenBasis, x, t: float) -> UpdateResult:
                         tuple(e[2] for e in entries), tuple(warnings), sys)
 
 
-@np.errstate(over="ignore")  # as in secular_roots
 def lowest_update_pairs(basis: EigenBasis, x,
                         ts) -> list[tuple[float, np.ndarray | None]]:
     """``rank1_update(basis, x, t)``'s ``values[-1]`` and ``vectors[-1]`` per t < 0, bit for bit.
 
     The active set does not depend on t, so one projection serves every
     shift. Only the bracket of each lowest root, below the lowest active
-    pole, is solved, all in one ``_open_brackets`` and one ``_bisect_all``
-    call. Each takes the steps ``secular_roots`` takes for it, with the same
-    floating-point operations, so its root is bit-identical, and the first
-    failing shift raises its BracketError. The vector is None when a
-    retained value lies below the root; on a tie the root wins, as in the
-    stable sort of ``rank1_update``. The root vectors come from one
-    ``_root_vectors`` call. A shift that is not negative and finite raises
-    ValueError.
+    pole, is solved, all in one ``_solve_brackets`` call that evaluates
+    through the opener's array evaluator. Each takes the steps
+    ``secular_roots`` takes for it, with the same floating-point operations,
+    so its root is bit-identical, and the first failing shift raises its
+    BracketError. The vector is None when a retained value lies below the
+    root; on a tie the root wins, as in the stable sort of ``rank1_update``.
+    The root vectors come from one ``_root_vectors`` call. A shift that is
+    not negative and finite raises ValueError.
     """
     ts = np.array(ts, dtype=float)
     bad = ~((ts < 0.0) & np.isfinite(ts))
@@ -402,17 +405,8 @@ def lowest_update_pairs(basis: EigenBasis, x,
     if not sys.active:
         return pairs
     k = len(ts)
-    f, unit, lo, hi, f_lo, root, errors = _open_brackets(
-        sys, ts, np.full(k, np.min(sys.active_poles)), np.full(k, -np.inf),
-        np.full(k, len(sys.active) - 1))
-    rows = np.flatnonzero(np.isnan(root))
-    rows = rows[~np.isin(rows, list(errors))]
-    root[rows], converged = _bisect_all(f, rows, lo[rows], hi[rows], f_lo[rows],
-                                        unit[rows])
-    for b in rows[~converged]:
-        errors[b] = "bisection failed to converge within iteration cap"
-    if errors:
-        raise BracketError(errors[min(errors)])
+    root = _solve_brackets(sys, ts, np.full(k, np.min(sys.active_poles)),
+                           np.full(k, -np.inf), np.full(k, len(sys.active) - 1))
     wins = np.flatnonzero(~(low < root))
     if wins.size:
         vectors = _root_vectors(basis, sys, root[wins])

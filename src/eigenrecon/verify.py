@@ -105,8 +105,9 @@ def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix) -> list[TheoremM
     The shifts are DEFAULT_T_SAMPLES in the pair's unit (see ``value_tol``),
     then 2*t* and t*/2 for each of A and B whose lowest cluster is not main,
     t* from ``_crossover``: one shift on each side of the crossover, where
-    the lowest eigenpair changes hands. Every shift is negative. Each sample
-    also cross-checks the direct eigendecomposition of A + t*J against the
+    the lowest eigenpair changes hands. Every shift is negative; one that
+    underflows to 0 in a subnormal unit is dropped. Each sample also
+    cross-checks the direct eigendecomposition of A + t*J against the
     secular equation on the basis of A. ``lowest_update_pairs`` gives the
     ``values[-1]`` and ``vectors[-1]`` of ``rank1_update(basis of A, 1, t)``
     bit for bit, solving only the bracket of each lowest root, so only those
@@ -125,6 +126,7 @@ def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix) -> list[TheoremM
         if t_star is not None:
             ts += [2.0 * t_star, t_star / 2.0]
     ts = np.ldexp(ts, e)
+    ts = ts[ts != 0.0]  # underflowed, so no shift; the largest always survives
     with np.errstate(over="ignore"):  # an entry past the float range is inf
         m = np.stack([A.entries, B.entries]) + ts[:, None, None, None]
     bad = np.argwhere(~np.all(np.isfinite(m), axis=(2, 3)))

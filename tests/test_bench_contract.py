@@ -38,6 +38,24 @@ def test_traced_functions_exist(monkeypatch):
     assert not missing
 
 
+def test_traced_rank1_update_records_one_roots_span(monkeypatch):
+    # t > 0 is solved by reflection inside secular_roots, not by a second
+    # call that the tracer would record as its own span with its roots.
+    from eigenrecon import core, secular
+    tracer = load_bench_module("tracer", monkeypatch).Tracer()
+    m = np.random.default_rng(12).uniform(-1, 1, (6, 6))
+    basis = core.eigh(core.SymmetricMatrix.from_array((m + m.T) / 2))
+    tracer.install()
+    try:
+        for t in (-0.4, 0.4):
+            tracer.begin_op()
+            secular.rank1_update(basis, np.arange(1.0, 7.0), t)
+            op = tracer.end_op()
+            assert op.calls["secular.secular_roots"] == 1 and op.roots == 6
+    finally:
+        tracer.restore()
+
+
 def test_declared_workloads_are_defined(monkeypatch):
     workloads = load_bench_module("workloads", monkeypatch)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]

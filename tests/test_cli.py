@@ -278,6 +278,23 @@ def test_tmain_shift_past_float_max_is_named(matrix_file, capsys):
     assert captured.err == "error: A + t*J is not finite at t = -1.692359552741477e+308\n"
 
 
+@pytest.mark.parametrize("text, pole", [
+    pytest.param("2\n5e-324 0\n0 5e-324\n", "5e-324", id="5e-324-I2"),
+    pytest.param("3\n0 1e-323 1e-323\n1e-323 0 1e-323\n1e-323 1e-323 0\n",
+                 "2e-323", id="1e-323-K3"),
+])
+def test_tmain_underflowed_shifts_are_dropped(matrix_file, capsys, text, pole):
+    # In the unit 2^-1074 the smaller default shifts round to -0.0, which
+    # used to exit 2 blaming the input ("t must be negative and finite").
+    # The shifts left reach the secular solver's subnormal limit instead.
+    a = matrix_file("a.txt", text)
+    code = cli.main(["tmain", a, a])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"error: could not open a bracket at pole y = {pole}\n"
+
+
 def test_squares_warnings_on_stderr(matrix_file, capsys, monkeypatch):
     def inconsistent(A):
         d = core.deck(A)

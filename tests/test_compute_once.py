@@ -5,8 +5,9 @@ Every solve goes through the kernel ``core._jacobi`` (``eigh``, ``deck``,
 ``eigh_stack`` and ``verify_gm`` all call it), so of the solvers only the
 kernel is wrapped. Solved matrices are counted by their entries, so deck
 cards (zero-padded submatrices of A) do not count as A. Every secular
-bracket is opened by ``secular._open_brackets``, which is wrapped too, and
-each scalar bisection step calls ``secular.secular_eval`` once.
+bracket is opened by ``secular._open_brackets`` and bisected by
+``secular._bisect_all``, both wrapped too. ``secular_roots`` evaluates each
+live bracket through ``secular.secular_eval`` once per bisection step.
 Spectra are clustered by ``core.cluster_spectrum``: a deck clusters its
 cards only when ``card_spectra`` is read. ``verify_gm`` forms V^T 1 of each
 basis once, in ``verify._ones_projection``.
@@ -135,6 +136,28 @@ def test_rank1_update_opens_every_bracket_in_one_call(opened):
     assert opened == [((-0.4,) * 6, tuple(range(6)))]
 
 
+@pytest.fixture
+def bisected(monkeypatch):
+    """The rows of each call of the lockstep bisection."""
+    calls = []
+    original = secular._bisect_all
+
+    def recording_bisect_all(f, rows, lo, hi, unit):
+        calls.append(tuple(rows.tolist()))
+        return original(f, rows, lo, hi, unit)
+
+    monkeypatch.setattr(secular, "_bisect_all", recording_bisect_all)
+    return calls
+
+
+@pytest.mark.parametrize("t", [-0.4, 0.4])
+def test_rank1_update_bisects_every_bracket_in_one_call(bisected, t):
+    # One row per active pole, for either sign of t (t > 0 by reflection).
+    A = random_symmetric(12, 6)
+    secular.rank1_update(core.eigh(A), np.arange(1.0, 7.0), t)
+    assert bisected == [tuple(range(6))]
+
+
 def test_rank1_update_evaluates_the_secular_function_as_often_as_before():
     # One secular_eval call per scalar bisection step; the counts are
     # those of the evaluator through np.any and np.sum.
@@ -203,10 +226,10 @@ def test_theorem_main_solves_each_matrix_once(solved):
     assert [len(stack) for stack in solved.calls] == [2, 2 * 18]
 
 
-def test_theorem_main_solves_one_bracket_per_nonzero_shift(monkeypatch, opened):
+def test_theorem_main_solves_one_bracket_per_nonzero_shift(monkeypatch, opened, bisected):
     # Only the bracket of the lowest root of A + tJ, the last in y, for
-    # every shift, all negative, in one lockstep call; rank1_update is
-    # never called.
+    # every shift, all negative, opened in one lockstep call and bisected
+    # in another; rank1_update is never called.
     def forbidden(*args, **kwargs):
         raise AssertionError("theorem-main called rank1_update")
 
@@ -216,3 +239,4 @@ def test_theorem_main_solves_one_bracket_per_nonzero_shift(monkeypatch, opened):
     [(ts, js)] = opened
     assert ts == tuple(r.t for r in samples) and max(ts) < 0.0
     assert js == (1,) * 18  # two clusters of P4 are main
+    assert bisected == [tuple(range(18))]
