@@ -35,13 +35,17 @@ DET_TOL = 1e-9
 class SecularSystem:
     """Poles, aggregated weights and scale defining P_t(lambda).
 
-    ``active`` holds the indices of the clusters whose aggregated weight
-    survives deflation, ``active_poles`` their representative eigenvalues
-    (descending) and ``active_weights`` their aggregated q_i^2.
+    ``q`` is V^T x and column k of ``projections`` is P_k x, the projection
+    of x onto the eigenspace of cluster k. ``active`` holds the indices of
+    the clusters whose aggregated weight survives deflation,
+    ``active_poles`` their representative eigenvalues (descending) and
+    ``active_weights`` their aggregated q_i^2. Only ``t`` depends on the
+    shift: the rest is the same at every t != 0.
     """
 
     lambdas: Spectrum
     q: np.ndarray
+    projections: np.ndarray
     t: float
     active: tuple[int, ...]
     active_poles: np.ndarray
@@ -64,7 +68,8 @@ def _update_vector(n: int, x, t: float) -> np.ndarray:
 
 
 def build_secular(basis: EigenBasis, x, t: float) -> SecularSystem:
-    """Project x onto the eigenbasis and aggregate weights per cluster.
+    """Project x onto the eigenbasis and each eigenspace, and aggregate
+    weights per cluster. Nothing after this reads the basis again.
 
     A cluster enters the active set when its aggregated weight exceeds
     DEFLATE_TOL * ||x||^2; with t = 0 the active set is empty and the
@@ -81,6 +86,10 @@ def build_secular(basis: EigenBasis, x, t: float) -> SecularSystem:
             f"a cluster spans {widest:.3e}, wider than {limit:.3e}; the "
             "secular equation needs exact multiplicities")
     q = basis.vectors.T @ x
+    # Clusters are runs of consecutive indices, so each is summed from its
+    # first column.
+    projections = np.add.reduceat(basis.vectors * q, [c[0] for c in spec.clusters],
+                                  axis=1)
     poles = cluster_values(spec)
     q2 = q ** 2
     weights = np.array([q2[c[0]] if len(c) == 1 else np.sum(q2[list(c)])
@@ -89,9 +98,10 @@ def build_secular(basis: EigenBasis, x, t: float) -> SecularSystem:
     active = tuple(k for k in range(len(weights)) if t != 0.0 and weights[k] > floor)
     active_poles = poles[list(active)]
     active_weights = weights[list(active)]
-    for arr in (active_poles, active_weights):
+    for arr in (projections, active_poles, active_weights):
         arr.setflags(write=False)
-    return SecularSystem(spec, q, float(t), active, active_poles, active_weights)
+    return SecularSystem(spec, q, projections, float(t), active, active_poles,
+                         active_weights)
 
 
 def secular_eval(sys: SecularSystem, lam: float) -> float:
@@ -303,10 +313,10 @@ class UpdateResult:
         return self.eigenvalues.values
 
 
-def _retained(spec: Spectrum, sys: SecularSystem) -> list[int]:
+def _retained(sys: SecularSystem) -> list[int]:
     """Indices (ascending) of the eigenvalues the update passes through unchanged."""
     active_set = set(sys.active)
-    return [i for k, cluster in enumerate(spec.clusters)
+    return [i for k, cluster in enumerate(sys.lambdas.clusters)
             for i in (cluster[1:] if k in active_set else cluster)]
 
 
@@ -314,28 +324,24 @@ def _retained(spec: Spectrum, sys: SecularSystem) -> list[int]:
 # range gives a zero coefficient, which is right to float precision; a vector
 # that is not finite raises instead.
 @np.errstate(over="ignore", invalid="ignore")
-def _root_vectors(basis: EigenBasis, sys: SecularSystem, roots) -> np.ndarray:
+def _root_vectors(sys: SecularSystem, roots) -> np.ndarray:
     """Unit eigenvectors (columns) of A + t*x*x^T for the given roots.
 
-    Each is sum over active i of p_i * q_i / (lambda_i - mu), normalized,
+    Each is sum over active clusters k of P_k x / (pole_k - mu), normalized,
     with the sign of ``canonical_column_signs``.
     """
-    clusters = basis.spectrum.clusters
-    active_indices = [i for k in sys.active for i in clusters[k]]
-    pole_of = np.repeat(sys.active_poles, [len(clusters[k]) for k in sys.active])
-    q_active = sys.q[active_indices]
-    p_active = basis.vectors[:, active_indices]
+    projections = sys.projections[:, list(sys.active)]
     # Exact power-of-two rescales, which cancel in the normalized vector: the
     # differences are taken in halves where they could overflow, and scaled
-    # so that the smallest is not subnormal; the coefficients so that the
-    # norm stays in range.
-    peak = np.max(np.abs(pole_of))
-    coefs = []
+    # so that the smallest is not subnormal; each sum so that its norm
+    # neither under- nor overflows, as it would for |x| near 1e-160.
+    peak = np.max(np.abs(sys.active_poles))
+    vs = []
     for mu in roots:
         k = int(max(peak, abs(mu)) > FLOAT_MAX / 2)
-        d = np.ldexp(pole_of, -k) - np.ldexp(mu, -k)
-        coefs.append(q_active / np.ldexp(d, -np.frexp(np.min(np.abs(d)))[1]))
-    vs = [p_active @ np.ldexp(c, -np.frexp(np.max(np.abs(c)))[1]) for c in coefs]
+        d = np.ldexp(sys.active_poles, -k) - np.ldexp(mu, -k)
+        v = projections @ (1.0 / np.ldexp(d, -np.frexp(np.min(np.abs(d)))[1]))
+        vs.append(np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1]))
     vectors = canonical_column_signs(
         np.column_stack([v / np.linalg.norm(v) for v in vs]))
     if not np.all(np.isfinite(vectors)):
@@ -348,14 +354,15 @@ def rank1_update(basis: EigenBasis, x, t: float) -> UpdateResult:
 
     Retained values are the eigenvalues of clusters deflated out of the
     active set, plus multiplicity - 1 copies inside each active cluster.
-    Each root eigenvector is sum over active i of p_i * q_i / (lambda_i - mu),
-    normalized; a root landing within 1e-10 * max(spread, min(1, cap)) of a
-    retained value is flagged near-degenerate but still emitted.
+    Each root eigenvector is sum over active clusters k of
+    P_k x / (pole_k - mu), normalized; a root landing within
+    1e-10 * max(spread, min(1, cap)) of a retained value is flagged
+    near-degenerate but still emitted.
     """
     sys = build_secular(basis, x, t)
-    spec = basis.spectrum
+    spec = sys.lambdas
 
-    retained = _retained(spec, sys)
+    retained = _retained(sys)
     retained_values = [float(spec.values[i]) for i in retained]
     entries: list[tuple[float, tuple[str, int], np.ndarray | None]] = [
         (v, ("retained", i), None) for v, i in zip(retained_values, retained)]
@@ -364,7 +371,7 @@ def rank1_update(basis: EigenBasis, x, t: float) -> UpdateResult:
     if sys.active:
         roots = secular_roots(sys)
         near_tol = NEAR_DEGENERATE_TOL * max(spec.spread, min(1.0, sys.cap))
-        vectors = _root_vectors(basis, sys, roots)
+        vectors = _root_vectors(sys, roots)
         for j, mu in enumerate(roots):
             if retained_values and min(abs(mu - r) for r in retained_values) < near_tol:
                 warnings.append(Diagnostic("near_degenerate", j, float(mu)))
@@ -376,12 +383,12 @@ def rank1_update(basis: EigenBasis, x, t: float) -> UpdateResult:
                         tuple(e[2] for e in entries), tuple(warnings), sys)
 
 
-def lowest_update_pairs(basis: EigenBasis, x,
-                        ts) -> list[tuple[float, np.ndarray | None]]:
+def lowest_update_pairs(sys: SecularSystem, ts) -> list[tuple[float, np.ndarray | None]]:
     """``rank1_update(basis, x, t)``'s ``values[-1]`` and ``vectors[-1]`` per t < 0, bit for bit.
 
-    The active set does not depend on t, so one projection serves every
-    shift. Only the bracket of each lowest root, below the lowest active
+    ``sys`` is ``build_secular(basis, x, t0)`` at any t0 != 0: its active
+    set, weights and projections are those of every shift, and its own t is
+    not read. Only the bracket of each lowest root, below the lowest active
     pole, is solved, all in one ``_solve_brackets`` call that evaluates
     through the opener's array evaluator. Each takes the steps
     ``secular_roots`` takes for it, with the same floating-point operations,
@@ -395,12 +402,10 @@ def lowest_update_pairs(basis: EigenBasis, x,
     bad = ~((ts < 0.0) & np.isfinite(ts))
     if bad.any():
         raise ValueError(f"t must be negative and finite, got {ts[bad][0]}")
-    sys = build_secular(basis, x, ts[0])
-    spec = basis.spectrum
-    retained = _retained(spec, sys)
+    retained = _retained(sys)
     # Ascending indices of a descending spectrum: the last is the lowest, and
     # the last of equal values, as the stable sort orders them.
-    low = float(spec.values[retained[-1]]) if retained else math.inf
+    low = float(sys.lambdas.values[retained[-1]]) if retained else math.inf
     pairs = [(low, None)] * len(ts)
     if not sys.active:
         return pairs
@@ -409,7 +414,7 @@ def lowest_update_pairs(basis: EigenBasis, x,
                            np.full(k, -np.inf), np.full(k, len(sys.active) - 1))
     wins = np.flatnonzero(~(low < root))
     if wins.size:
-        vectors = _root_vectors(basis, sys, root[wins])
+        vectors = _root_vectors(sys, root[wins])
         for col, b in enumerate(wins):
             pairs[b] = (float(root[b]), vectors[:, col].copy())
     return pairs
@@ -449,7 +454,7 @@ def verify_det_identity(A: SymmetricMatrix, x, t: float) -> DetIdentityReport:
     basis, updated = eigh_stack(
         [A, SymmetricMatrix.from_array(A.entries + t * np.outer(x, x))])
     sys = build_secular(basis, x, t)
-    spec = basis.spectrum
+    spec = sys.lambdas
     tops = spec.values[[c[0] for c in spec.clusters]]
     bottoms = spec.values[[c[-1] for c in spec.clusters]]
     reach = spec.spread if len(tops) > 1 else (

@@ -8,9 +8,9 @@ simple eigenvectors not orthogonal to the all-ones vector (up to sign), and
 the lowest eigenpair of A + t*J over shifts t: ``verify_gm`` decides it in
 closed form, ``verify_theorem_main`` samples it two ways. ``verify_gm``
 reads the projections, the signs and the closed form's crossover shift from
-one product V^T 1 per basis. A probe finds the coordinate permutation that
-best maps one simple eigenvector onto the other by sorted pairing, at any
-size.
+one all-ones secular system per basis. A probe finds the coordinate
+permutation that best maps one simple eigenvector onto the other by sorted
+pairing, at any size.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (EigenBasis, Spectrum, SymmetricMatrix, _solve_stack,
-                   cluster_values, eigh_stack, scale_exponent, symmetrized)
-from .secular import DEFLATE_TOL, lowest_update_pairs
+from .core import (SymmetricMatrix, _solve_stack, cluster_values, eigh_stack,
+                   scale_exponent, symmetrized)
+from .secular import SecularSystem, build_secular, lowest_update_pairs
 from .squares import SquareComparison, compare_squares, square_table_from_deck
 
 SIGN_TOL_SCALE = 1e-10
@@ -43,17 +43,6 @@ def _unit_exponent(A: SymmetricMatrix, B: SymmetricMatrix) -> int:
 def value_tol(A: SymmetricMatrix, B: SymmetricMatrix) -> float:
     """VALUE_TOL in the pair's unit, so that it scales exactly with the pair."""
     return float(np.ldexp(VALUE_TOL, _unit_exponent(A, B)))
-
-
-def _ones_projection(basis: EigenBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """q = V^T 1, the (n, clusters) array whose column k is P_k 1, and the
-    cluster weights w_k = ||P_k 1||^2 (n times the squared main angles).
-    Clusters are runs of consecutive indices, so each is summed from its
-    first column."""
-    q = basis.vectors.T @ np.ones(basis.n)
-    starts = [c[0] for c in basis.spectrum.clusters]
-    return (q, np.add.reduceat(basis.vectors * q, starts, axis=1),
-            np.add.reduceat(q ** 2, starts))
 
 
 def principal_angle(u, v) -> float:
@@ -114,15 +103,16 @@ def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix) -> list[TheoremM
     brackets can raise BracketError. Where a retained eigenvalue of A is
     below the root there is no secular vector and ``secular_angle`` is NaN.
     A and B are solved in one stack, then every A + t*J and B + t*J in
-    another.
+    another. One all-ones secular system per basis, that of A - J, gives
+    t* and, for A, every secular pair.
     """
     if A.n != B.n:
         raise ValueError("dimension mismatch")
     e = _unit_exponent(A, B)
-    basis_a, basis_b = eigh_stack([A, B])
+    sys_a, sys_b = (build_secular(b, np.ones(A.n), -1.0) for b in eigh_stack([A, B]))
     ts = [*DEFAULT_T_SAMPLES]
-    for basis in (basis_a, basis_b):
-        t_star = _crossover(basis.spectrum, _ones_projection(basis)[2], e)
+    for sys in (sys_a, sys_b):
+        t_star = _crossover(sys, e)
         if t_star is not None:
             ts += [2.0 * t_star, t_star / 2.0]
     ts = np.ldexp(ts, e)
@@ -134,7 +124,7 @@ def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix) -> list[TheoremM
         k, j = bad[0]
         raise ValueError(f"{'AB'[j]} + t*J is not finite at t = {float(ts[k])!r}")
     solved = eigh_stack([*map(SymmetricMatrix, symmetrized(m.reshape(-1, A.n, A.n)))])
-    pairs = lowest_update_pairs(basis_a, np.ones(A.n), ts)
+    pairs = lowest_update_pairs(sys_a, ts)
     records = []
     for t, shifted_a, shifted_b, (sec_low, sec_vec) in zip(
             ts.tolist(), solved[0::2], solved[1::2], pairs):
@@ -152,19 +142,19 @@ def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix) -> list[TheoremM
     return records
 
 
-def _crossover(spec: Spectrum, w: np.ndarray, e: int) -> float | None:
+def _crossover(sys: SecularSystem, e: int) -> float | None:
     """t*/2^e = -1 / sum_k w_k / (lambda_k - lambda_n) over the main clusters
-    k (w_k = ||P_k 1||^2 above the secular deflation floor), each at its top
-    value and in the unit 2^e, so that nothing overflows. If A's lowest
-    cluster is not main, its value is the lowest of A + t*J for t in (t*, 0).
-    None if it is main.
+    k, the active set of the all-ones system ``sys`` (w_k = ||P_k 1||^2),
+    each at its top value and in the unit 2^e, so that nothing overflows. If
+    A's lowest cluster is not main, its value is the lowest of A + t*J for t
+    in (t*, 0). None if it is main.
     """
-    main = w > DEFLATE_TOL * len(spec)
-    if main[-1]:
+    spec = sys.lambdas
+    if sys.active[-1] == len(spec.clusters) - 1:
         return None
     lam = np.ldexp(spec.values, -e)
-    starts = [c[0] for c in spec.clusters]
-    return -1.0 / float(np.sum(w[main] / (lam[starts][main] - lam[-1])))
+    tops = lam[[spec.clusters[k][0] for k in sys.active]]
+    return -1.0 / float(np.sum(sys.active_weights / (tops - lam[-1])))
 
 
 @dataclass(frozen=True)
@@ -257,9 +247,10 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, *,
                               square_table_from_deck(deck_b))
 
     # Projections of 1 onto matching eigenspaces, and simple eigenvectors
-    # signed along 1, all from q = V^T 1 of each basis. A vector too close to
-    # orthogonal to 1 has no such sign and is skipped.
-    (qa, pa, wa), (qb, pb, wb) = _ones_projection(basis_a), _ones_projection(basis_b)
+    # signed along 1, all from the all-ones secular system of each basis. A
+    # vector too close to orthogonal to 1 has no such sign and is skipped.
+    sys_a, sys_b = (build_secular(b, np.ones(A.n), -1.0) for b in (basis_a, basis_b))
+    (qa, pa), (qb, pb) = ((s.q, s.projections) for s in (sys_a, sys_b))
     if pa.shape == pb.shape:
         projections = tuple(
             {"value": v, "distance": d, "pass": d <= PROJECTION_TOL}
@@ -281,7 +272,7 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, *,
     # along sum_k P_k 1 / (lambda_k - mu). Equal spectra and projections,
     # checked above, thus give equal root eigenpairs at every t, and only a
     # retained lowest eigenvalue, for t in (t*, 0), is left to compare.
-    t_star = _crossover(basis_a.spectrum, wa, e), _crossover(basis_b.spectrum, wb, e)
+    t_star = _crossover(sys_a, e), _crossover(sys_b, e)
     r = None if t_star == (None, None) else A.n - 1
     conclusive = r is not None and basis_a.spectrum.is_simple(r) and basis_b.spectrum.is_simple(r)
     angle = None if r is None else principal_angle(basis_a.vectors[:, r], basis_b.vectors[:, r])

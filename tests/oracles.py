@@ -3,7 +3,8 @@ evaluated from a spectrum or exact over the integers, the square table
 filled cell by cell and column by column, the projection and sign records
 of ``verify_gm`` one cluster and one column at a time, the vertex-deleted
 submatrix, the stack-first Jacobi kernel, the per-cluster secular poles
-and weights, and the scalar secular evaluator and bracket search."""
+and weights, the scalar secular evaluator and bracket search, and the
+secular root vectors summed eigenvector by eigenvector."""
 
 import math
 
@@ -316,3 +317,28 @@ def bracket_root(f, poles: np.ndarray, j: int, cap: float) -> float:
     if not np.isfinite(root):
         raise secular.BracketError(f"root {j} in y is not finite: {root}")
     return root
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_root_vectors(basis, sys, roots) -> np.ndarray:
+    """``secular._root_vectors`` as a sum over the active eigenvectors p_i,
+    each weighted by q_i / (pole - mu) with the pole of its cluster, under
+    the same power-of-two rescales: the route the library took before it
+    summed the projections P_k x per cluster."""
+    clusters = basis.spectrum.clusters
+    active_indices = [i for k in sys.active for i in clusters[k]]
+    pole_of = np.repeat(sys.active_poles, [len(clusters[k]) for k in sys.active])
+    q_active = sys.q[active_indices]
+    p_active = basis.vectors[:, active_indices]
+    peak = np.max(np.abs(pole_of))
+    vs = []
+    for mu in roots:
+        k = int(max(peak, abs(mu)) > core.FLOAT_MAX / 2)
+        d = np.ldexp(pole_of, -k) - np.ldexp(mu, -k)
+        c = q_active / np.ldexp(d, -np.frexp(np.min(np.abs(d)))[1])
+        vs.append(p_active @ np.ldexp(c, -np.frexp(np.max(np.abs(c)))[1]))
+    vectors = core.canonical_column_signs(
+        np.column_stack([v / np.linalg.norm(v) for v in vs]))
+    if not np.all(np.isfinite(vectors)):
+        raise secular.BracketError("a root eigenvector is not finite")
+    return vectors

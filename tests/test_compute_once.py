@@ -9,8 +9,10 @@ bracket is opened by ``secular._open_brackets`` and bisected by
 ``secular._bisect_all``, both wrapped too. ``secular_roots`` evaluates each
 live bracket through ``secular.secular_eval`` once per bisection step.
 Spectra are clustered by ``core.cluster_spectrum``: a deck clusters its
-cards only when ``card_spectra`` is read. ``verify_gm`` forms V^T 1 of each
-basis once, in ``verify._ones_projection``.
+cards only when ``card_spectra`` is read. Vectors are projected onto a basis
+only by ``secular.build_secular``, wrapped in every namespace that binds
+it: ``verify_gm`` and ``verify_theorem_main`` build one all-ones system per
+basis.
 """
 
 import numpy as np
@@ -192,23 +194,37 @@ def test_verify_gm_decomposes_each_matrix_once(solved, opened):
     assert opened == []
 
 
-def test_verify_gm_projects_ones_once_per_basis(monkeypatch):
-    # Projections, signs and t* all read the one V^T 1 of each basis.
-    projected = []
-    original = verify._ones_projection
+@pytest.fixture
+def built(monkeypatch):
+    """(basis, x, system) of each ``secular.build_secular`` call."""
+    calls = []
+    original = secular.build_secular
 
-    def counting_ones_projection(basis):
-        projected.append(basis)
-        return original(basis)
+    def recording_build_secular(basis, x, t):
+        sys = original(basis, x, t)
+        calls.append((basis, np.array(x, dtype=float), sys))
+        return sys
 
-    monkeypatch.setattr(verify, "_ones_projection", counting_ones_projection)
+    for module in (secular, verify):
+        if getattr(module, "build_secular", None) is original:
+            monkeypatch.setattr(module, "build_secular", recording_build_secular)
+    return calls
+
+
+def assert_ones_systems_of(built, *matrices):
+    """One all-ones system per matrix, built on its basis, in order."""
+    assert [b.spectrum.values.tobytes() for b, _, _ in built] == [
+        core.eigh(M).spectrum.values.tobytes() for M in matrices]
+    assert all(np.array_equal(x, np.ones(len(x))) for _, x, _ in built)
+
+
+def test_verify_gm_builds_one_ones_system_per_basis(built):
+    # Projections, signs and t* all read the one system of each basis.
     A, B = random_symmetric(6, 5), random_symmetric(7, 5)
     for multiset_deck in (False, True):
-        projected.clear()
+        built.clear()
         verify.verify_gm(A, B, multiset_deck=multiset_deck)
-        assert len(projected) == 2
-        assert [b.spectrum.values.tobytes() for b in projected] == [
-            core.eigh(M).spectrum.values.tobytes() for M in (A, B)]
+        assert_ones_systems_of(built, A, B)
 
 
 def path4():
@@ -240,3 +256,19 @@ def test_theorem_main_solves_one_bracket_per_nonzero_shift(monkeypatch, opened, 
     assert ts == tuple(r.t for r in samples) and max(ts) < 0.0
     assert js == (1,) * 18  # two clusters of P4 are main
     assert bisected == [tuple(range(18))]
+
+
+def test_theorem_main_builds_one_ones_system_per_basis(monkeypatch, built):
+    # t* of each matrix reads its system, and every secular pair reads A's.
+    passed = []
+    original = verify.lowest_update_pairs
+
+    def recording_lowest_update_pairs(sys, ts):
+        passed.append(sys)
+        return original(sys, ts)
+
+    monkeypatch.setattr(verify, "lowest_update_pairs", recording_lowest_update_pairs)
+    A, B = path4(), random_symmetric(11, 4)
+    verify.verify_theorem_main(A, B)
+    assert_ones_systems_of(built, A, B)
+    assert len(passed) == 1 and passed[0] is built[0][2]

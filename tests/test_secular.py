@@ -422,11 +422,68 @@ class TestRank1Update:
         [root] = [v for v in r.vectors if v is not None]
         np.testing.assert_allclose(root, np.ones(3) / math.sqrt(3), rtol=1e-12)
 
+    def test_tiny_update_vectors_stay_unit(self):
+        # ||v||^2 of a sum over P_k x, x of norm near 1e-160, is subnormal
+        # and inexact; the sums are rescaled first.
+        A, x = random_instance(np.random.default_rng(61), 8)
+        x, t = 1e-160 * x, -1e308
+        r = secular.rank1_update(core.eigh(A), x, t)
+        M = A.entries + t * np.outer(x, x)
+        bound = 1e-8 * (8 * np.max(np.abs(A.entries)) + abs(t) * x @ x)
+        vectors = [(val, v) for val, v in zip(r.values, r.vectors) if v is not None]
+        assert len(vectors) == 8
+        for val, v in vectors:
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
+            assert np.linalg.norm(M @ v - val * v) <= bound
+
     def test_non_finite_vector_raises_bracket_error(self):
         basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([1.0, -1.0])))
         sys = secular.build_secular(basis, np.ones(2), 0.5)
         with pytest.raises(secular.BracketError, match="eigenvector is not finite"):
-            secular._root_vectors(basis, sys, [math.inf])
+            secular._root_vectors(sys, [math.inf])
+
+
+def assert_reference_root_vectors(basis, x, t):
+    """``_root_vectors``, summed over the cluster projections, within 8 eps
+    of each entry of ``oracles.reference_root_vectors``, with its signs."""
+    sys = secular.build_secular(basis, x, t)
+    roots = secular.secular_roots(sys)
+    got = secular._root_vectors(sys, roots)
+    want = oracles.reference_root_vectors(basis, sys, roots)
+    assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps
+    assert np.array_equal(np.sign(got), np.sign(want))
+
+
+class TestRootVectorOracle:
+    """Each root vector sums P_k x / (pole_k - mu) over the active clusters;
+    the eigenvector-by-eigenvector sum rounds differently, in the last bits."""
+
+    def test_seeded_systems_match_the_reference(self):
+        # Uniform spectra, pairs 1e-7 apart and 4-fold repeated eigenvalues
+        # on random orthonormal bases, at unit scale, 4^+-100 and 1e+-300.
+        rng = np.random.default_rng(73)
+        for k in range(24):
+            n = int(rng.integers(2, 33))
+            values = rng.uniform(-1, 1, n)
+            if k % 3 == 1:
+                values = np.repeat(values[:(n + 1) // 2], 2)[:n] + 1e-7 * (np.arange(n) % 2)
+            elif k % 3 == 2:
+                values = np.repeat(values[:(n + 3) // 4], 4)[:n]
+            vectors, _ = np.linalg.qr(rng.uniform(-1, 1, (n, n)))
+            for scale in (1.0, 4.0 ** 100, 4.0 ** -100, 1e300, 1e-300):
+                spec = core.cluster_spectrum(np.sort(scale * values)[::-1])
+                basis = core.EigenBasis(spec, vectors)
+                x = rng.uniform(-1, 1, n)
+                for t in (-0.3, 3.0):
+                    assert_reference_root_vectors(basis, x, t * scale)
+
+    @pytest.mark.parametrize("diagonal, t", [
+        ((1e-310,) * 3, -5e-311),  # subnormal differences, scaled up
+        ((1e308,) * 2, 2.5e307),  # differences taken in halves
+    ])
+    def test_extreme_rescales_match_the_reference(self, diagonal, t):
+        basis = core.eigh(core.SymmetricMatrix.from_array(np.diag(diagonal)))
+        assert_reference_root_vectors(basis, np.ones(len(diagonal)), t)
 
 
 def zero_one_graph(rng, n, kind):
@@ -459,7 +516,9 @@ class TestLowestUpdatePair:
                  else zero_one_graph(rng, n, kind))
             basis = core.eigh(core.SymmetricMatrix.from_array(scale * (m + m.T) / 2))
             x = np.ones(n) if k % 8 < 4 else rng.uniform(-1, 1, n)
-            pairs = secular.lowest_update_pairs(basis, x, [t * scale for t in shifts])
+            # One system, built at a shift of its own, serves every shift.
+            sys = secular.build_secular(basis, x, -scale)
+            pairs = secular.lowest_update_pairs(sys, [t * scale for t in shifts])
             for t, (value, vector) in zip(shifts, pairs, strict=True):
                 full = secular.rank1_update(basis, x, t * scale)
                 assert same_float(value, full.values[-1])
@@ -476,7 +535,8 @@ class TestLowestUpdatePair:
         # Every bracket takes the reference search's steps: the same root or
         # the same BracketError, in secular_roots (the first failing root
         # raises) and in lowest_update_pairs for the lowest bracket alone,
-        # where a batch raises the error of its first failing shift.
+        # where a batch raises the error of its first failing shift. The
+        # system built at t, of either sign, serves every shift.
         rng = np.random.default_rng(71)
         failed = 0
         batch_failed = []
@@ -497,11 +557,11 @@ class TestLowestUpdatePair:
                     found, key=lambda r: -np.frombuffer(r)[0]))
 
             def lowest(ts):
-                return outcome(lambda: secular.lowest_update_pairs(basis, x, ts)[0][0])
+                return outcome(lambda: secular.lowest_update_pairs(sys, ts)[0][0])
 
             if t < 0.0:
                 want = found[-1]
-                retained = basis.spectrum.values[secular._retained(basis.spectrum, sys)]
+                retained = basis.spectrum.values[secular._retained(sys)]
                 low = float(np.min(retained, initial=math.inf))
                 if not isinstance(want, str) and low < np.frombuffer(want)[0]:
                     want = np.float64(low).tobytes()
@@ -517,9 +577,10 @@ class TestLowestUpdatePair:
         assert sum(batch_failed) >= 20  # 24 of 84 at seed 71
 
     def test_shifts_must_be_negative_and_finite(self):
+        sys = secular.build_secular(swap_basis(), np.ones(2), -1.0)
         for t in (0.0, 0.5, -math.inf, math.nan):
             with pytest.raises(ValueError, match="t must be negative and finite"):
-                secular.lowest_update_pairs(swap_basis(), np.ones(2), [-0.5, t])
+                secular.lowest_update_pairs(sys, [-0.5, t])
 
     def test_tie_goes_to_the_root(self):
         # A deflated eigenvalue placed exactly on the lowest root of the
@@ -528,10 +589,12 @@ class TestLowestUpdatePair:
         # placed value sets, so it is placed again until it stays put.
         x = np.array([1.0, 1.0, 0.0])
         two = core.eigh(core.SymmetricMatrix.from_array(np.diag([1.0, -1.0])))
-        [(mu, _)] = secular.lowest_update_pairs(two, x[:2], [-0.5])
+        [(mu, _)] = secular.lowest_update_pairs(secular.build_secular(two, x[:2], -0.5),
+                                                [-0.5])
         for _ in range(10):
             basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([1.0, -1.0, mu])))
-            [(value, vector)] = secular.lowest_update_pairs(basis, x, [-0.5])
+            sys = secular.build_secular(basis, x, -0.5)
+            [(value, vector)] = secular.lowest_update_pairs(sys, [-0.5])
             if value == mu:
                 break
             mu = value

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from eigenrecon import core, verify
+from eigenrecon import core, secular, verify
 from oracles import charpoly, reference_projections, reference_signs
 
 
@@ -22,31 +22,41 @@ def path_graph(n):
     return core.SymmetricMatrix.from_array(a)
 
 
+def ones_system(basis):
+    """The all-ones secular system that ``verify_gm`` and ``verify_theorem_main`` read."""
+    return secular.build_secular(basis, np.ones(basis.n), -1.0)
+
+
 class TestProjectionOfOnes:
-    """``_ones_projection``: q = V^T 1, P_k 1 per cluster and w_k = ||P_k 1||^2."""
+    """The all-ones secular system: q = V^T 1, P_k 1 per cluster, and the
+    main clusters (its active set) with their weights w_k = ||P_k 1||^2."""
 
     def test_swap_matrix_top(self):
-        basis = core.eigh(core.SymmetricMatrix.from_array([[0, 1], [1, 0]]))
-        q, proj, w = verify._ones_projection(basis)
-        np.testing.assert_allclose(proj[:, 0], [1.0, 1.0], atol=1e-14)
-        assert q[0] == pytest.approx(math.sqrt(2.0), abs=1e-14)
-        assert w[0] == pytest.approx(2.0, abs=1e-14)
+        sys = ones_system(core.eigh(core.SymmetricMatrix.from_array([[0, 1], [1, 0]])))
+        np.testing.assert_allclose(sys.projections[:, 0], [1.0, 1.0], atol=1e-14)
+        assert sys.q[0] == pytest.approx(math.sqrt(2.0), abs=1e-14)
+        assert sys.active == (0,)
+        assert sys.active_weights[0] == pytest.approx(2.0, abs=1e-14)
 
     def test_swap_matrix_bottom(self):
-        basis = core.eigh(core.SymmetricMatrix.from_array([[0, 1], [1, 0]]))
-        q, proj, w = verify._ones_projection(basis)
-        np.testing.assert_allclose(proj[:, 1], [0.0, 0.0], atol=1e-14)
-        assert abs(q[1]) <= 1e-14 and w[1] <= 1e-28
+        # Orthogonal to 1, so not main.
+        sys = ones_system(core.eigh(core.SymmetricMatrix.from_array([[0, 1], [1, 0]])))
+        np.testing.assert_allclose(sys.projections[:, 1], [0.0, 0.0], atol=1e-14)
+        assert abs(sys.q[1]) <= 1e-14 and 1 not in sys.active
 
     def test_idempotent(self):
         basis = core.eigh(random_symmetric(np.random.default_rng(2), 6))
-        q, proj, w = verify._ones_projection(basis)
+        sys = ones_system(basis)
+        proj = sys.projections
         assert proj.shape == (6, len(basis.spectrum.clusters))
+        assert not proj.flags.writeable
+        w = dict(zip(sys.active, sys.active_weights.tolist()))
         for k, cluster in enumerate(basis.spectrum.clusters):
             p = basis.vectors[:, list(cluster)]
             again = p @ (p.T @ proj[:, k])
             assert np.max(np.abs(again - proj[:, k])) <= 1e-12
-            assert w[k] == pytest.approx(proj[:, k] @ proj[:, k], rel=1e-12)
+            assert w.get(k, 0.0) == pytest.approx(proj[:, k] @ proj[:, k], rel=1e-12,
+                                                  abs=secular.DEFLATE_TOL * 6)
         # The eigenspaces resolve the identity: the projections sum to 1.
         assert np.max(np.abs(proj.sum(axis=1) - 1.0)) <= 1e-12
 
@@ -59,17 +69,18 @@ class TestProjectionOfOnes:
         basis = core.eigh(core.SymmetricMatrix.from_array(q @ d @ q.T))
         k, cluster = next((k, c) for k, c in enumerate(basis.spectrum.clusters)
                           if len(c) == 2)
-        _, proj, w = verify._ones_projection(basis)
+        sys = ones_system(basis)
 
         theta = 0.7
         rot = np.array([[math.cos(theta), -math.sin(theta)],
                         [math.sin(theta), math.cos(theta)]])
         vecs = basis.vectors.copy()
         vecs[:, list(cluster)] = vecs[:, list(cluster)] @ rot
-        rotated = core.EigenBasis(basis.spectrum, vecs)
-        q2, proj2, w2 = verify._ones_projection(rotated)
-        assert np.max(np.abs(proj[:, k] - proj2[:, k])) <= 1e-10
-        assert w2[k] == pytest.approx(w[k], rel=1e-12)
+        rotated = ones_system(core.EigenBasis(basis.spectrum, vecs))
+        assert np.max(np.abs(sys.projections[:, k] - rotated.projections[:, k])) <= 1e-10
+        assert rotated.active == sys.active and k in sys.active
+        j = sys.active.index(k)
+        assert rotated.active_weights[j] == pytest.approx(sys.active_weights[j], rel=1e-12)
 
 
 class TestCanonicalizeSign:
