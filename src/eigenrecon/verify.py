@@ -103,13 +103,13 @@ def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix) -> list[TheoremM
     brackets can raise BracketError. Where a retained eigenvalue of A is
     below the root there is no secular vector and ``secular_angle`` is NaN.
     A and B are solved in one stack, then every A + t*J and B + t*J in
-    another. One all-ones secular system per basis, that of A - J, gives
-    t* and, for A, every secular pair.
+    another. One all-ones secular system per basis gives t* and, for A,
+    every secular pair.
     """
     if A.n != B.n:
         raise ValueError("dimension mismatch")
     e = _unit_exponent(A, B)
-    sys_a, sys_b = (build_secular(b, np.ones(A.n), -1.0) for b in eigh_stack([A, B]))
+    sys_a, sys_b = (build_secular(b, np.ones(A.n)) for b in eigh_stack([A, B]))
     ts = [*DEFAULT_T_SAMPLES]
     for sys in (sys_a, sys_b):
         t_star = _crossover(sys, e)
@@ -144,10 +144,11 @@ def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix) -> list[TheoremM
 
 def _crossover(sys: SecularSystem, e: int) -> float | None:
     """t*/2^e = -1 / sum_k w_k / (lambda_k - lambda_n) over the main clusters
-    k, the active set of the all-ones system ``sys`` (w_k = ||P_k 1||^2),
-    each at its top value and in the unit 2^e, so that nothing overflows. If
-    A's lowest cluster is not main, its value is the lowest of A + t*J for t
-    in (t*, 0). None if it is main.
+    k, the active set of the all-ones system ``sys`` (w_k = ||P_k 1||^2:
+    the all-ones vector is its own unit, a = 0), each at its top value and
+    in the unit 2^e, so that nothing overflows. If A's lowest cluster is not
+    main, its value is the lowest of A + t*J for t in (t*, 0). None if it is
+    main.
     """
     spec = sys.lambdas
     if sys.active[-1] == len(spec.clusters) - 1:
@@ -223,7 +224,7 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, *,
     if A.n != B.n:
         raise ValueError("dimension mismatch")
     e = _unit_exponent(A, B)
-    tol = float(np.ldexp(VALUE_TOL, e))
+    tol = value_tol(A, B)
     (deck_a, deck_b), _ = _solve_stack([A, B], ())
     basis_a, basis_b = deck_a.parent, deck_b.parent
     spectra_dev = float(np.max(np.abs(basis_a.spectrum.values - basis_b.spectrum.values)))
@@ -249,7 +250,7 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, *,
     # Projections of 1 onto matching eigenspaces, and simple eigenvectors
     # signed along 1, all from the all-ones secular system of each basis. A
     # vector too close to orthogonal to 1 has no such sign and is skipped.
-    sys_a, sys_b = (build_secular(b, np.ones(A.n), -1.0) for b in (basis_a, basis_b))
+    sys_a, sys_b = (build_secular(b, np.ones(A.n)) for b in (basis_a, basis_b))
     (qa, pa), (qb, pb) = ((s.q, s.projections) for s in (sys_a, sys_b))
     if pa.shape == pb.shape:
         projections = tuple(

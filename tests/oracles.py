@@ -242,8 +242,9 @@ def bisect(f, lo: float, hi: float, f_lo: float, unit: float) -> float:
 
 def open_at_pole(f, pole: float, side: int, limit: float,
                  unit: float) -> tuple[float, float]:
-    """Step off the pole toward ``limit`` until f has the sign of ``side``,
-    halving the offset while the point is at or past ``limit``."""
+    """Step off the pole toward ``limit`` until f has the sign of ``side``
+    (0 included, NaN not), halving the offset while the point is at or past
+    ``limit``."""
     off = secular.POLE_OFFSET_SCALE * max(unit, abs(pole))
     for _ in range(80):
         point = pole + side * off
@@ -251,7 +252,7 @@ def open_at_pole(f, pole: float, side: int, limit: float,
             break
         if point < limit if side > 0 else point > limit:
             value = f(point)
-            if value == 0.0 or (value > 0.0) == (side > 0):
+            if value >= 0.0 if side > 0 else value <= 0.0:
                 return point, value
         off *= 0.5
     raise secular.BracketError(f"could not open a bracket at pole y = {pole}")
@@ -266,24 +267,26 @@ def reference_poles_and_weights(basis, x) -> tuple[np.ndarray, np.ndarray]:
             np.array([float(np.sum(q[list(c)] ** 2)) for c in clusters]))
 
 
-def reference_secular_eval(sys, lam: float) -> float:
+def reference_secular_eval(sys, t: float, lam: float) -> float:
     """P_t(lam) = 1 + sum over active clusters of t*w_k/(pole_k - lam),
-    through np.any and np.sum: ``secular.secular_eval`` is held to it."""
+    t*w_k = (t*4^a)*w'_k in x's unit, through np.ldexp, np.any and np.sum:
+    ``secular.secular_eval`` is held to it."""
     poles = sys.active_poles
     if np.any(poles == lam):
         raise ZeroDivisionError(f"evaluation at active pole lambda={lam}")
-    return float(1.0 + np.sum(sys.t * sys.active_weights / (poles - lam)))
+    return float(1.0 + np.sum(np.ldexp(t, 2 * sys.a) * sys.active_weights / (poles - lam)))
 
 
-def reflect(sys):
-    """s = sign(-t), the active poles in y = s*lambda (descending) and P_t in
-    y, by ``reference_secular_eval``."""
-    s = 1.0 if sys.t < 0.0 else -1.0
+def reflect(sys, t: float):
+    """s = sign(-t), the active poles in y = s*lambda (descending), P_t in
+    y, by ``reference_secular_eval``, and cap = |t| * sum_k w_k + spread."""
+    s = 1.0 if t < 0.0 else -1.0
 
     def f(y: float) -> float:
-        return reference_secular_eval(sys, s * y)
+        return reference_secular_eval(sys, t, s * y)
 
-    return s, np.sort(s * sys.active_poles)[::-1], f
+    cap = abs(np.ldexp(t, 2 * sys.a)) * float(np.sum(sys.active_weights)) + sys.lambdas.spread
+    return s, np.sort(s * sys.active_poles)[::-1], f, cap
 
 
 @np.errstate(over="ignore")

@@ -98,10 +98,10 @@ def test_criterion_4_interlacing():
     detail = ""
     for A, x, t in secular_instances():
         basis = core.eigh(A)
-        sys = secular.build_secular(basis, x, t)
+        sys = secular.build_secular(basis, x)
         if not sys.active:
             continue
-        roots = secular.secular_roots(sys)
+        roots = secular.secular_roots(sys, t)
         poles = sys.active_poles
         pole_off = secular.POLE_OFFSET_SCALE * max(1.0, float(np.max(np.abs(poles))))
         seq = np.empty(2 * len(poles))

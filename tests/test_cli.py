@@ -252,14 +252,19 @@ def test_non_finite_vector_exits_2(matrix_file, capsys):
                  "t must be finite", id="rank1-t-inf"),
     pytest.param(["det-check", "{a}", "--x", "ones", "--t", "nan"],
                  "t must be finite", id="det-check-t-nan"),
+    # t * max|x|^2 = 1.6e309: the update has an entry past the float range.
+    pytest.param(["rank1", "{a}", "--x", "{x}", "--t", "1e308"],
+                 "t * x * x^T is not finite at t = 1e+308", id="rank1-t-x-x-past-max"),
+    pytest.param(["det-check", "{a}", "--x", "{x}", "--t", "1e308"],
+                 "t * x * x^T is not finite at t = 1e+308", id="det-check-t-x-x-past-max"),
     pytest.param(["probe-tau", "{a}", "{a}", "--index", "9"],
                  "out of range", id="probe-tau-index-9"),
     pytest.param(["probe-tau", "{a}", "{a}", "--index", "-1"],
                  "out of range", id="probe-tau-index-minus-1"),
 ])
 def test_hostile_flag_exits_2(matrix_file, capsys, argv, message):
-    a = matrix_file("a.txt", P3)
-    code = cli.main([arg.format(a=a) for arg in argv])
+    a, x = matrix_file("a.txt", P3), matrix_file("x.txt", "3\n4 4 4\n")
+    code = cli.main([arg.format(a=a, x=x) for arg in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -461,6 +466,30 @@ def test_rank1_near_float_max(matrix_file, capsys):
     assert code == 0
     assert payload["eigenvalues"][0]["value"] == pytest.approx(1.00000001e308, rel=1e-13)
     assert payload["vectors"] == [[1.0]]
+
+
+@pytest.mark.parametrize("scale", [1e154, 2e154])
+def test_x_past_the_square_root_of_float_max(matrix_file, capsys, scale):
+    # t x x^T is -J or -4J at t = -1e-308, while x x^T and ||x||^2 pass the
+    # float range: both checks work in x's unit, with no RuntimeWarning (an
+    # error under the pytest settings). Before, rank1 returned A's own
+    # eigenvalues, and det-check failed (1e154) or rejected the matrix.
+    m = np.random.default_rng(3).uniform(-1, 1, (8, 8))
+    a, x, t = (m + m.T) / 2, scale * np.ones(8), -1e-308
+    path = matrix_file("a.txt", core.format_matrix(core.SymmetricMatrix.from_array(a)))
+    x_path = matrix_file("x.txt", core.format_vector(x))
+    code, out = run(capsys, "det-check", path, "--x", x_path, f"--t={t}")
+    assert code == 0 and json.loads(out)["max_rel_dev"] <= 1e-9
+    code, out = run(capsys, "rank1", path, "--x", x_path, f"--t={t}")
+    payload = strict_json(out)
+    assert code == 0
+    m = a + (t * x) * x[:, None]
+    want = np.linalg.eigvalsh(m)[::-1]
+    got = [e["value"] for e in payload["eigenvalues"]]
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-9 * max(1.0, want[0] - want[-1])
+    bound = 1e-8 * (8 * np.max(np.abs(a)) + np.sum(np.abs(t * x) * x))
+    assert all(np.linalg.norm(m @ v - mu * np.asarray(v)) <= bound
+               for mu, v in zip(got, payload["vectors"]) if v is not None)
 
 
 def test_rank1_non_finite_root_exits_3(matrix_file, capsys):

@@ -5,7 +5,7 @@ Every solve goes through the kernel ``core._jacobi`` (``eigh``, ``deck``,
 ``eigh_stack`` and ``verify_gm`` all call it), so of the solvers only the
 kernel is wrapped. Solved matrices are counted by their entries, so deck
 cards (zero-padded submatrices of A) do not count as A. Every secular
-bracket is opened by ``secular._open_brackets`` and bisected by
+bracket is opened by ``secular._solve_brackets`` and bisected by
 ``secular._bisect_all``, both wrapped too. ``secular_roots`` evaluates each
 live bracket through ``secular.secular_eval`` once per bisection step.
 Spectra are clustered by ``core.cluster_spectrum``: a deck clusters its
@@ -120,15 +120,16 @@ def test_two_matrix_checks_solve_one_stack(monkeypatch, check):
 
 @pytest.fixture
 def opened(monkeypatch):
-    """The (t, j) arguments of each call of the bracket opener."""
+    """The shifts t, in the caller's unit, and the root indices j of each
+    call of the bracket solver."""
     calls = []
-    original = secular._open_brackets
+    original = secular._solve_brackets
 
-    def recording_open_brackets(sys, t, upper, lower, j):
-        calls.append((tuple(t.tolist()), tuple(j.tolist())))
-        return original(sys, t, upper, lower, j)
+    def recording_solve_brackets(sys, tu, upper, lower, j, f=None):
+        calls.append((tuple(np.ldexp(tu, -2 * sys.a).tolist()), tuple(j.tolist())))
+        return original(sys, tu, upper, lower, j, f)
 
-    monkeypatch.setattr(secular, "_open_brackets", recording_open_brackets)
+    monkeypatch.setattr(secular, "_solve_brackets", recording_solve_brackets)
     return calls
 
 
@@ -166,9 +167,9 @@ def test_rank1_update_evaluates_the_secular_function_as_often_as_before():
     calls = []
     original = secular.secular_eval
 
-    def counting_secular_eval(sys, lam):
+    def counting_secular_eval(sys, t, lam):
         calls.append(lam)
-        return original(sys, lam)
+        return original(sys, t, lam)
 
     basis = core.eigh(random_symmetric(32, 32))
     x = np.random.default_rng(33).uniform(-1, 1, 32)
@@ -200,8 +201,8 @@ def built(monkeypatch):
     calls = []
     original = secular.build_secular
 
-    def recording_build_secular(basis, x, t):
-        sys = original(basis, x, t)
+    def recording_build_secular(basis, x):
+        sys = original(basis, x)
         calls.append((basis, np.array(x, dtype=float), sys))
         return sys
 

@@ -1,8 +1,10 @@
 """The README's library quick start runs as written, the package exports
-nothing beyond it, the matrix type and the errors, and the command line and
-the checks keep their listed options and parameters."""
+nothing beyond it, the matrix type and the errors, the command line and
+the checks keep their listed options and parameters, and the secular solves
+take the shift t as an argument."""
 
 import argparse
+import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -66,3 +68,18 @@ def test_check_signatures_are_pinned():
         "compare_squares": ["table_a", "table_b"],
         "rank1_update": ["basis", "x", "t"],
     }
+
+
+def test_secular_shift_is_an_argument():
+    # A secular system is the same at every shift; t must not come back as
+    # its state.
+    solves = (secular.build_secular, secular.secular_eval, secular.secular_roots,
+              secular.lowest_update_pairs)
+    assert {f.__name__: list(inspect.signature(f).parameters) for f in solves} == {
+        "build_secular": ["basis", "x"],
+        "secular_eval": ["sys", "t", "lam"],
+        "secular_roots": ["sys", "t"],
+        "lowest_update_pairs": ["sys", "ts"],
+    }
+    assert [f.name for f in dataclasses.fields(secular.SecularSystem)] == [
+        "lambdas", "q", "projections", "a", "active", "active_poles", "active_weights"]

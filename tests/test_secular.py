@@ -6,6 +6,7 @@ import pytest
 import oracles
 from eigenrecon import core, secular
 from oracles import char_poly_eval
+from test_cli_sweep import INPUTS
 
 GOLDEN_ROOT_HI = (-1 + math.sqrt(5)) / 2
 GOLDEN_ROOT_LO = (-1 - math.sqrt(5)) / 2
@@ -59,31 +60,38 @@ def outcome(solve):
 class TestBuildSecular:
     def test_basis_vector(self):
         basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([2.0, 0.0])))
-        sys = secular.build_secular(basis, np.array([1.0, 0.0]), -1.0)
+        sys = secular.build_secular(basis, np.array([1.0, 0.0]))
         np.testing.assert_allclose(sys.q, [1.0, 0.0])
         assert len(sys.active) == 1
         assert sys.active_poles[0] == pytest.approx(2.0)
 
     def test_zero_matrix_single_cluster(self):
         basis = core.eigh(core.SymmetricMatrix.from_array(np.zeros((2, 2))))
-        sys = secular.build_secular(basis, np.array([1.0, 1.0]), 1.0)
+        sys = secular.build_secular(basis, np.array([1.0, 1.0]))
         assert sys.active == (0,)
         assert len(sys.active_poles) == 1
         assert sys.active_weights[0] == pytest.approx(2.0)
 
     def test_orthogonal_cluster_deflated(self):
         basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([2.0, 0.0])))
-        sys = secular.build_secular(basis, np.array([0.0, 1.0]), -1.0)
+        sys = secular.build_secular(basis, np.array([0.0, 1.0]))
         assert sys.active == (1,)
 
-    def test_t_zero_empty_active_set(self):
-        basis = swap_basis()
-        sys = secular.build_secular(basis, np.ones(2), 0.0)
-        assert sys.active == ()
+    @pytest.mark.parametrize("x", [[1.0, 1.0], [0.0, 0.0], [3.0, -1.0], [-2.0, 0.5],
+                                   [1e-300, 5e-301], [1e154, 1e154], [0.75, 1e-320]])
+    def test_x_is_read_in_its_unit(self, x):
+        # x = 2^a x' with max|x'| in [1, 2), by an exact rescale: the all-ones
+        # and zero vectors keep a = 0, and q is V^T x'.
+        basis = core.eigh(core.SymmetricMatrix.from_array([[2.0, 1.0], [1.0, 0.0]]))
+        sys = secular.build_secular(basis, np.array(x))
+        unit = np.ldexp(x, -sys.a)
+        assert np.array_equal(np.ldexp(unit, sys.a), x)
+        assert 1.0 <= np.max(np.abs(unit)) < 2.0 if any(x) else sys.a == 0
+        assert sys.q.tobytes() == (basis.vectors.T @ unit).tobytes()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            secular.build_secular(swap_basis(), np.ones(3), 1.0)
+            secular.build_secular(swap_basis(), np.ones(3))
 
     def test_cluster_wider_than_default_rejected(self):
         # Only a hand-built Spectrum can hold such a cluster: the solver
@@ -91,7 +99,7 @@ class TestBuildSecular:
         spec = core.Spectrum(np.array([1.0, 0.5, 0.0]), ((0, 1), (2,)))
         basis = core.EigenBasis(spec, np.eye(3))
         with pytest.raises(ValueError, match="exact multiplicities"):
-            secular.build_secular(basis, np.ones(3), -0.5)
+            secular.build_secular(basis, np.ones(3))
 
 
     @pytest.mark.parametrize("diagonal", [
@@ -104,22 +112,22 @@ class TestBuildSecular:
     def test_extreme_poles_and_weights_match_the_per_cluster_formulas(self, diagonal):
         basis = core.eigh(core.SymmetricMatrix.from_array(np.diag(diagonal)))
         x = np.random.default_rng(len(diagonal)).uniform(-1, 1, len(diagonal))
-        for t in (-0.5, 2.0):
-            assert_reference_poles_and_weights(basis, x, t)
+        assert_reference_poles_and_weights(basis, x)
 
     def test_poles_and_weights_match_the_per_cluster_formulas(self):
         rng = np.random.default_rng(72)
         for k in range(240):
-            assert_reference_poles_and_weights(*secular_family(rng, k))
+            assert_reference_poles_and_weights(*secular_family(rng, k)[:2])
 
 
-def assert_reference_poles_and_weights(basis, x, t):
+def assert_reference_poles_and_weights(basis, x):
     """``build_secular``'s active set, poles and weights, byte for byte those
-    of ``oracles.reference_poles_and_weights``."""
-    sys = secular.build_secular(basis, x, t)
+    of ``oracles.reference_poles_and_weights`` on x in its unit."""
+    sys = secular.build_secular(basis, x)
+    x = np.ldexp(x, -sys.a)
     poles, weights = oracles.reference_poles_and_weights(basis, x)
     floor = secular.DEFLATE_TOL * float(x @ x)
-    active = [k for k, w in enumerate(weights) if t != 0.0 and w > floor]
+    active = [k for k, w in enumerate(weights) if w > floor]
     assert sys.active == tuple(active)
     assert sys.active_poles.tobytes() == poles[active].tobytes()
     assert sys.active_weights.tobytes() == weights[active].tobytes()
@@ -130,7 +138,8 @@ class TestSecularEval:
         # At the active poles both raise; elsewhere the same bits.
         rng = np.random.default_rng(73)
         for k in range(120):
-            sys = secular.build_secular(*secular_family(rng, k))
+            basis, x, t = secular_family(rng, k)
+            sys = secular.build_secular(basis, x)
             if not sys.active:
                 continue
             poles = sys.active_poles
@@ -140,49 +149,49 @@ class TestSecularEval:
                 if lam in poles:
                     for evaluate in (secular.secular_eval, oracles.reference_secular_eval):
                         with pytest.raises(ZeroDivisionError):
-                            evaluate(sys, lam)
+                            evaluate(sys, t, lam)
                 else:
-                    assert same_float(secular.secular_eval(sys, lam),
-                                      oracles.reference_secular_eval(sys, lam))
+                    assert same_float(secular.secular_eval(sys, t, lam),
+                                      oracles.reference_secular_eval(sys, t, lam))
 
     def test_t_zero_constant_one(self):
-        sys = secular.build_secular(swap_basis(), np.ones(2), 0.0)
+        sys = secular.build_secular(swap_basis(), np.ones(2))
         for lam in (-5.0, 0.3, 7.0):
-            assert secular.secular_eval(sys, lam) == 1.0
+            assert secular.secular_eval(sys, 0.0, lam) == 1.0
 
     def test_symmetric_weights(self):
         # lambdas (1,-1), q = (1,1)/sqrt(2), t = -1: P(0) = 1 - 0.5 + 0.5 = 1.
         basis = swap_basis()
         x = basis.vectors @ (np.ones(2) / math.sqrt(2))
-        sys = secular.build_secular(basis, x, -1.0)
-        assert secular.secular_eval(sys, 0.0) == pytest.approx(1.0)
+        sys = secular.build_secular(basis, x)
+        assert secular.secular_eval(sys, -1.0, 0.0) == pytest.approx(1.0)
 
     def test_golden_ratio_root(self):
         basis = swap_basis()
         x = basis.vectors @ (np.ones(2) / math.sqrt(2))
-        sys = secular.build_secular(basis, x, -1.0)
-        assert secular.secular_eval(sys, GOLDEN_ROOT_HI) == pytest.approx(0.0, abs=1e-14)
+        sys = secular.build_secular(basis, x)
+        assert secular.secular_eval(sys, -1.0, GOLDEN_ROOT_HI) == pytest.approx(0.0, abs=1e-14)
 
     def test_pole_rejected(self):
-        sys = secular.build_secular(swap_basis(), np.ones(2), -1.0)
+        sys = secular.build_secular(swap_basis(), np.ones(2))
         with pytest.raises(ZeroDivisionError):
-            secular.secular_eval(sys, float(sys.active_poles[0]))
+            secular.secular_eval(sys, -1.0, float(sys.active_poles[0]))
 
 
 class TestSecularRoots:
     def test_golden_ratio_quadratic(self):
         basis = swap_basis()
         x = basis.vectors @ (np.ones(2) / math.sqrt(2))
-        sys = secular.build_secular(basis, x, -1.0)
-        roots = secular.secular_roots(sys)
+        sys = secular.build_secular(basis, x)
+        roots = secular.secular_roots(sys, -1.0)
         np.testing.assert_allclose(roots, [GOLDEN_ROOT_HI, GOLDEN_ROOT_LO],
                                    atol=1e-12)
         assert 1 > roots[0] > -1 > roots[1]
 
     def test_single_root(self):
         basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([2.0, 0.0])))
-        sys = secular.build_secular(basis, np.array([1.0, 0.0]), -1.0)
-        roots = secular.secular_roots(sys)
+        sys = secular.build_secular(basis, np.array([1.0, 0.0]))
+        roots = secular.secular_roots(sys, -1.0)
         assert roots == pytest.approx([1.0], abs=1e-12)
 
     def test_matches_direct_eigensolver(self):
@@ -190,8 +199,8 @@ class TestSecularRoots:
         A, x = random_instance(rng, 8)
         t = -0.7
         basis = core.eigh(A)
-        sys = secular.build_secular(basis, x, t)
-        roots = np.sort(secular.secular_roots(sys))
+        sys = secular.build_secular(basis, x)
+        roots = np.sort(secular.secular_roots(sys, t))
         direct = core.eigh(core.SymmetricMatrix.from_array(
             A.entries + t * np.outer(x, x))).spectrum
         retained = sorted(v for k, c in enumerate(basis.spectrum.clusters)
@@ -204,22 +213,22 @@ class TestSecularRoots:
         rng = np.random.default_rng(56)
         A, x = random_instance(rng, 6)
         basis = core.eigh(A)
-        sys = secular.build_secular(basis, x, -1.3)
-        for mu in secular.secular_roots(sys):
+        sys = secular.build_secular(basis, x)
+        for mu in secular.secular_roots(sys, -1.3):
             gap = float(np.min(np.abs(sys.active_poles - mu)))
-            bound = 1e-10 * (1 + np.sum(np.abs(sys.t) * sys.active_weights / gap))
-            assert abs(secular.secular_eval(sys, mu)) <= bound
+            bound = 1e-10 * (1 + np.sum(1.3 * np.ldexp(sys.active_weights, 2 * sys.a) / gap))
+            assert abs(secular.secular_eval(sys, -1.3, mu)) <= bound
 
     def test_monotone_between_poles(self):
         rng = np.random.default_rng(57)
         A, x = random_instance(rng, 5)
         basis = core.eigh(A)
+        sys = secular.build_secular(basis, x)
         for t in (-2.0, 2.0):
-            sys = secular.build_secular(basis, x, t)
             poles = sys.active_poles
             for hi, lo in zip(poles[:-1], poles[1:]):
                 pts = np.linspace(lo + 1e-6, hi - 1e-6, 10)
-                vals = [secular.secular_eval(sys, p) for p in pts]
+                vals = [secular.secular_eval(sys, t, p) for p in pts]
                 diffs = np.diff(vals)
                 if t > 0:
                     assert np.all(diffs > 0)
@@ -236,16 +245,15 @@ class TestSecularRoots:
         x = np.array([0.3, -0.8, 0.55, 0.55, -0.8, 0.3])
         A = core.SymmetricMatrix.from_array(np.diag(vals))
         neg = core.SymmetricMatrix.from_array(np.diag(-vals))
-        roots = secular.secular_roots(secular.build_secular(core.eigh(A), x, t))
-        mirrored = secular.secular_roots(
-            secular.build_secular(core.eigh(neg), x, -t))
+        roots = secular.secular_roots(secular.build_secular(core.eigh(A), x), t)
+        mirrored = secular.secular_roots(secular.build_secular(core.eigh(neg), x), -t)
         np.testing.assert_array_equal(mirrored, -roots[::-1])
         assert np.all(np.diff(roots) < 0)
 
     def test_t_zero_has_no_roots(self):
-        sys = secular.build_secular(swap_basis(), np.ones(2), 0.0)
+        sys = secular.build_secular(swap_basis(), np.ones(2))
         with pytest.raises(ValueError):
-            secular.secular_roots(sys)
+            secular.secular_roots(sys, 0.0)
 
 
 class TestRank1Update:
@@ -363,9 +371,9 @@ class TestRank1Update:
         rng = np.random.default_rng(60)
         A, x = random_instance(rng, 9)
         basis = core.eigh(A)
+        sys = secular.build_secular(basis, x)
         for t in (-2.0, 2.0):
-            sys = secular.build_secular(basis, x, t)
-            roots = secular.secular_roots(sys)
+            roots = secular.secular_roots(sys, t)
             poles = sys.active_poles
             if t < 0:
                 seq = np.empty(2 * len(poles))
@@ -438,7 +446,7 @@ class TestRank1Update:
 
     def test_non_finite_vector_raises_bracket_error(self):
         basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([1.0, -1.0])))
-        sys = secular.build_secular(basis, np.ones(2), 0.5)
+        sys = secular.build_secular(basis, np.ones(2))
         with pytest.raises(secular.BracketError, match="eigenvector is not finite"):
             secular._root_vectors(sys, [math.inf])
 
@@ -446,8 +454,8 @@ class TestRank1Update:
 def assert_reference_root_vectors(basis, x, t):
     """``_root_vectors``, summed over the cluster projections, within 8 eps
     of each entry of ``oracles.reference_root_vectors``, with its signs."""
-    sys = secular.build_secular(basis, x, t)
-    roots = secular.secular_roots(sys)
+    sys = secular.build_secular(basis, x)
+    roots = secular.secular_roots(sys, t)
     got = secular._root_vectors(sys, roots)
     want = oracles.reference_root_vectors(basis, sys, roots)
     assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps
@@ -486,6 +494,66 @@ class TestRootVectorOracle:
         assert_reference_root_vectors(basis, np.ones(len(diagonal)), t)
 
 
+def update_bytes(basis, x, t):
+    """Every emitted bit of ``rank1_update(basis, x, t)``."""
+    r = secular.rank1_update(basis, x, t)
+    return (r.values.tobytes(), r.origins, r.warnings,
+            tuple(None if v is None else v.tobytes() for v in r.vectors))
+
+
+class TestUnitOfX:
+    """x enters as x' = x / 2^a with max|x'| in [1, 2), and t as t * 4^a."""
+
+    def test_scaling_x_by_a_power_of_two_changes_no_bit(self):
+        # On the CLI sweep's uniform, clustered and graded matrices.
+        for name in (f"{family}-{n}" for family in ("uniform", "clustered", "graded")
+                     for n in (2, 5, 8)):
+            n = len(INPUTS[name])
+            basis = core.eigh(core.SymmetricMatrix.from_array(INPUTS[name]))
+            for x in (np.ones(n), np.random.default_rng(5).uniform(-1, 1, n)):
+                for t in (1.0, 3.0, -3.0, 1e-6, -1e-6):
+                    want = update_bytes(basis, x, t)
+                    for k in (1, -1, 100, -100, 500, -500):
+                        assert update_bytes(basis, np.ldexp(x, k), math.ldexp(t, -2 * k)) == want
+
+    @pytest.mark.parametrize("scale", [1e154, 2e154])
+    def test_x_past_the_square_root_of_float_max_matches_numpy(self, scale):
+        # ||x||^2 passes the float range, t x x^T = -J or -4J does not; a
+        # RuntimeWarning, an error under the pytest settings, fails the test.
+        m = np.random.default_rng(3).uniform(-1, 1, (8, 8))
+        a, x, t = (m + m.T) / 2, scale * np.ones(8), -1e-308
+        r = secular.rank1_update(core.eigh(core.SymmetricMatrix.from_array(a)), x, t)
+        rep = secular.verify_det_identity(core.SymmetricMatrix.from_array(a), x, t)
+        m = a + (t * x) * x[:, None]
+        want = np.linalg.eigvalsh(m)[::-1]
+        assert np.max(np.abs(r.values - want)) <= 1e-9 * max(1.0, want[0] - want[-1])
+        bound = 1e-8 * (8 * np.max(np.abs(a)) + np.sum(np.abs(t * x) * x))
+        assert all(np.linalg.norm(m @ v - mu * v) <= bound
+                   for mu, v in zip(r.values, r.vectors) if v is not None)
+        assert rep.passed
+
+    def test_shift_past_the_float_range_in_x_unit_raises(self):
+        # t * max|x|^2 = 1.6e309: t*x*x^T has an entry past the float range.
+        sys = secular.build_secular(swap_basis(), np.array([4.0, 4.0]))
+        with pytest.raises(ValueError, match="t \\* x \\* x\\^T is not finite"):
+            secular.secular_roots(sys, 1e308)
+        with pytest.raises(ValueError, match="t \\* x \\* x\\^T is not finite"):
+            secular.lowest_update_pairs(sys, [-1e308])
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_nan_value_opens_no_bracket(side):
+    # f is NaN farther than 1e-14 off the pole and has the sign of side
+    # nearer; on row 1 it is NaN everywhere, so that bracket stays shut.
+    def f(rows, lam):
+        return np.where((rows == 0) & (np.abs(lam) < 1e-14), float(side), np.nan)
+
+    point, value = secular._open_at_poles(f, np.arange(2), np.zeros(2), side,
+                                          np.full(2, side * np.inf), np.ones(2))
+    assert point[0] == side * 1e-13 / 16 and value[0] == side
+    assert np.isnan(point[1]) and np.isnan(value[1])
+
+
 def zero_one_graph(rng, n, kind):
     """A random graph, the cycle C_n or the complete graph K_n."""
     if kind == "random":
@@ -516,8 +584,8 @@ class TestLowestUpdatePair:
                  else zero_one_graph(rng, n, kind))
             basis = core.eigh(core.SymmetricMatrix.from_array(scale * (m + m.T) / 2))
             x = np.ones(n) if k % 8 < 4 else rng.uniform(-1, 1, n)
-            # One system, built at a shift of its own, serves every shift.
-            sys = secular.build_secular(basis, x, -scale)
+            # One system serves every shift.
+            sys = secular.build_secular(basis, x)
             pairs = secular.lowest_update_pairs(sys, [t * scale for t in shifts])
             for t, (value, vector) in zip(shifts, pairs, strict=True):
                 full = secular.rank1_update(basis, x, t * scale)
@@ -535,25 +603,25 @@ class TestLowestUpdatePair:
         # Every bracket takes the reference search's steps: the same root or
         # the same BracketError, in secular_roots (the first failing root
         # raises) and in lowest_update_pairs for the lowest bracket alone,
-        # where a batch raises the error of its first failing shift. The
-        # system built at t, of either sign, serves every shift.
+        # where a batch raises the error of its first failing shift. One
+        # system serves every shift.
         rng = np.random.default_rng(71)
         failed = 0
         batch_failed = []
         for k in range(504):
             basis, x, t = secular_family(rng, k)
-            sys = secular.build_secular(basis, x, t)
-            s, poles, f = oracles.reflect(sys)
-            found = [outcome(lambda: s * oracles.bracket_root(f, poles, j, sys.cap))
+            sys = secular.build_secular(basis, x)
+            s, poles, f, cap = oracles.reflect(sys, t)
+            found = [outcome(lambda: s * oracles.bracket_root(f, poles, j, cap))
                      for j in range(len(poles))]
             errors = [r for r in found if isinstance(r, str)]
             if errors:
                 failed += 1
                 with pytest.raises(secular.BracketError) as exc:
-                    secular.secular_roots(sys)
+                    secular.secular_roots(sys, t)
                 assert str(exc.value) == errors[0]
             else:
-                assert secular.secular_roots(sys).tobytes() == b"".join(sorted(
+                assert secular.secular_roots(sys, t).tobytes() == b"".join(sorted(
                     found, key=lambda r: -np.frombuffer(r)[0]))
 
             def lowest(ts):
@@ -577,7 +645,7 @@ class TestLowestUpdatePair:
         assert sum(batch_failed) >= 20  # 24 of 84 at seed 71
 
     def test_shifts_must_be_negative_and_finite(self):
-        sys = secular.build_secular(swap_basis(), np.ones(2), -1.0)
+        sys = secular.build_secular(swap_basis(), np.ones(2))
         for t in (0.0, 0.5, -math.inf, math.nan):
             with pytest.raises(ValueError, match="t must be negative and finite"):
                 secular.lowest_update_pairs(sys, [-0.5, t])
@@ -589,11 +657,10 @@ class TestLowestUpdatePair:
         # placed value sets, so it is placed again until it stays put.
         x = np.array([1.0, 1.0, 0.0])
         two = core.eigh(core.SymmetricMatrix.from_array(np.diag([1.0, -1.0])))
-        [(mu, _)] = secular.lowest_update_pairs(secular.build_secular(two, x[:2], -0.5),
-                                                [-0.5])
+        [(mu, _)] = secular.lowest_update_pairs(secular.build_secular(two, x[:2]), [-0.5])
         for _ in range(10):
             basis = core.eigh(core.SymmetricMatrix.from_array(np.diag([1.0, -1.0, mu])))
-            sys = secular.build_secular(basis, x, -0.5)
+            sys = secular.build_secular(basis, x)
             [(value, vector)] = secular.lowest_update_pairs(sys, [-0.5])
             if value == mu:
                 break
@@ -614,11 +681,11 @@ class TestDetIdentity:
         # det(A + tJ - lam I) at lam=0 equals -(1+2t) on both sides.
         basis = swap_basis()
         for t in (0.5, -0.25, 2.0):
-            sys = secular.build_secular(basis, np.ones(2), t)
+            sys = secular.build_secular(basis, np.ones(2))
             A = np.array([[0.0, 1.0], [1.0, 0.0]])
             lhs = np.linalg.det(0.0 * np.eye(2) - (A + t * np.ones((2, 2))))
             rhs = char_poly_eval(basis.spectrum, 0.0) * \
-                secular.secular_eval(sys, 0.0)
+                secular.secular_eval(sys, t, 0.0)
             assert lhs == pytest.approx(-(1 + 2 * t), abs=1e-12)
             assert rhs == pytest.approx(lhs, abs=1e-12)
 

@@ -24,7 +24,7 @@ def path_graph(n):
 
 def ones_system(basis):
     """The all-ones secular system that ``verify_gm`` and ``verify_theorem_main`` read."""
-    return secular.build_secular(basis, np.ones(basis.n), -1.0)
+    return secular.build_secular(basis, np.ones(basis.n))
 
 
 class TestProjectionOfOnes:
