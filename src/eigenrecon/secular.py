@@ -88,10 +88,11 @@ def build_secular(basis: EigenBasis, x) -> SecularSystem:
     aggregate weights per cluster. Nothing after this reads the basis again.
 
     A cluster enters the active set when its aggregated weight exceeds
-    DEFLATE_TOL * ||x'||^2, so x may have any finite size. A cluster wider
-    than ``default_cluster_tol`` raises ValueError: each cluster is taken as
-    one eigenvalue of exact multiplicity, so a wider one merges distinct
-    poles.
+    DEFLATE_TOL * ||x'||^2, which no finite x overflows, and is not 0 in the
+    caller's unit: with max|x| below about 1e-162, x*x^T is 0 in floats and
+    every value is retained. A cluster wider than ``default_cluster_tol``
+    raises ValueError: each cluster is taken as one eigenvalue of exact
+    multiplicity, so a wider one merges distinct poles.
     """
     x, a = _in_unit(basis.n, x)
     spec = basis.spectrum
@@ -102,8 +103,7 @@ def build_secular(basis: EigenBasis, x) -> SecularSystem:
             f"a cluster spans {widest:.3e}, wider than {limit:.3e}; the "
             "secular equation needs exact multiplicities")
     q = basis.vectors.T @ x
-    # Clusters are runs of consecutive indices, so each is summed from its
-    # first column.
+    # Clusters are runs of consecutive indices, each summed from its first column.
     projections = np.add.reduceat(basis.vectors * q, [c[0] for c in spec.clusters],
                                   axis=1)
     poles = cluster_values(spec)
@@ -111,7 +111,8 @@ def build_secular(basis: EigenBasis, x) -> SecularSystem:
     weights = np.array([q2[c[0]] if len(c) == 1 else np.sum(q2[list(c)])
                         for c in spec.clusters])
     floor = DEFLATE_TOL * float(x @ x)
-    active = tuple(k for k in range(len(weights)) if weights[k] > floor)
+    kept = np.ldexp(weights, min(2 * a, 0)) > 0.0  # not 0 in the caller's unit
+    active = tuple(k for k in range(len(weights)) if weights[k] > floor and kept[k])
     active_poles = poles[list(active)]
     active_weights = weights[list(active)]
     for arr in (projections, active_poles, active_weights):
@@ -120,7 +121,9 @@ def build_secular(basis: EigenBasis, x) -> SecularSystem:
 
 
 def secular_eval(sys: SecularSystem, t: float, lam: float) -> float:
-    """P_t(lam) = 1 + sum over active clusters of t*w_k/(pole_k - lam)."""
+    """P_t(lam) = 1 + sum over active clusters of t*w_k/(pole_k - lam), as
+    t * 4^a * w'_k: ``secular_roots`` steps through this public evaluator,
+    and its one exact ``math.ldexp`` per point costs nothing beside the sum."""
     poles = sys.active_poles
     # The array methods skip np.any's and np.sum's Python wrappers, which
     # cost more than the reductions at these sizes; the sums are the same.

@@ -35,14 +35,15 @@ PROJECTION_TOL = 1e-7
 DEFAULT_T_SAMPLES = tuple(-1.0 + k * (15.0 / 16.0) / 16.0 for k in range(1, 17))
 
 
-def _unit_exponent(A: SymmetricMatrix, B: SymmetricMatrix) -> int:
-    """The pair's unit is 2^e, e the ``scale_exponent`` of max|a| over both."""
-    return int(scale_exponent(max(np.max(np.abs(M.entries)) for M in (A, B))))
+def _pair_unit(A: SymmetricMatrix, B: SymmetricMatrix) -> tuple[int, float]:
+    """The pair's unit 2^e (``scale_exponent`` of max|a| over both) and VALUE_TOL in it."""
+    e = int(scale_exponent(max(np.max(np.abs(M.entries)) for M in (A, B))))
+    return e, float(np.ldexp(VALUE_TOL, e))
 
 
 def value_tol(A: SymmetricMatrix, B: SymmetricMatrix) -> float:
     """VALUE_TOL in the pair's unit, so that it scales exactly with the pair."""
-    return float(np.ldexp(VALUE_TOL, _unit_exponent(A, B)))
+    return _pair_unit(A, B)[1]
 
 
 def principal_angle(u, v) -> float:
@@ -108,7 +109,7 @@ def verify_theorem_main(A: SymmetricMatrix, B: SymmetricMatrix) -> list[TheoremM
     """
     if A.n != B.n:
         raise ValueError("dimension mismatch")
-    e = _unit_exponent(A, B)
+    e, _ = _pair_unit(A, B)
     sys_a, sys_b = (build_secular(b, np.ones(A.n)) for b in eigh_stack([A, B]))
     ts = [*DEFAULT_T_SAMPLES]
     for sys in (sys_a, sys_b):
@@ -223,8 +224,7 @@ def verify_gm(A: SymmetricMatrix, B: SymmetricMatrix, *,
     """
     if A.n != B.n:
         raise ValueError("dimension mismatch")
-    e = _unit_exponent(A, B)
-    tol = value_tol(A, B)
+    e, tol = _pair_unit(A, B)
     (deck_a, deck_b), _ = _solve_stack([A, B], ())
     basis_a, basis_b = deck_a.parent, deck_b.parent
     spectra_dev = float(np.max(np.abs(basis_a.spectrum.values - basis_b.spectrum.values)))

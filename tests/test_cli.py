@@ -492,6 +492,21 @@ def test_x_past_the_square_root_of_float_max(matrix_file, capsys, scale):
                for mu, v in zip(got, payload["vectors"]) if v is not None)
 
 
+@pytest.mark.parametrize("t", ["-1", "-1e250"])
+def test_rank1_x_whose_weights_are_0_in_its_own_unit(matrix_file, capsys, t):
+    # x x^T of x = 1e-200 * 1 is 0 as a float, so rank1 returns A's own
+    # eigenvalues, all retained, rather than exit 3 with no bracket open.
+    m = np.random.default_rng(3).uniform(-1, 1, (8, 8))
+    a = core.SymmetricMatrix.from_array((m + m.T) / 2)
+    path = matrix_file("a.txt", core.format_matrix(a))
+    x_path = matrix_file("x.txt", core.format_vector(1e-200 * np.ones(8)))
+    code, out = run(capsys, "rank1", path, "--x", x_path, f"--t={t}")
+    payload = strict_json(out)
+    assert code == 0
+    assert [e["value"] for e in payload["eigenvalues"]] == core.eigh(a).spectrum.values.tolist()
+    assert payload["vectors"] == [None] * 8
+
+
 def test_rank1_non_finite_root_exits_3(matrix_file, capsys):
     # The eigenvalue 1e308 * (1 + sqrt 2) lies past the float range: one
     # error line instead of Infinity and NaN with exit 0.

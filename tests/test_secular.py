@@ -532,6 +532,18 @@ class TestUnitOfX:
                    for mu, v in zip(r.values, r.vectors) if v is not None)
         assert rep.passed
 
+    @pytest.mark.parametrize("t", [-1.0, -1e250])
+    def test_x_whose_weights_are_0_in_its_own_unit_is_deflated(self, t):
+        # Every q_i^2 of x = 1e-200 * 1, and so x x^T, is 0 as a float: A's
+        # eigenvalues are retained, although t * 4^a * w'_k is -0.0 at t = -1
+        # and about -1e-150 at t = -1e250, where no bracket opens.
+        m = np.random.default_rng(3).uniform(-1, 1, (8, 8))
+        basis = core.eigh(core.SymmetricMatrix.from_array((m + m.T) / 2))
+        r = secular.rank1_update(basis, 1e-200 * np.ones(8), t)
+        assert r.system.active == ()
+        assert r.values.tobytes() == basis.spectrum.values.tobytes()
+        assert r.origins == tuple(("retained", i) for i in range(8))
+
     def test_shift_past_the_float_range_in_x_unit_raises(self):
         # t * max|x|^2 = 1.6e309: t*x*x^T has an entry past the float range.
         sys = secular.build_secular(swap_basis(), np.array([4.0, 4.0]))
